@@ -36,19 +36,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _resolve_threads(value: int) -> int:
+def _thread_count(text: str) -> int:
+    """A thread count for ``--threads`` or ``WEFTPRINT_THREADS``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise ValueError(f"--threads must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
+        raise argparse.ArgumentTypeError(f"thread count must be an integer >= 0, got {text!r}")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weftprint", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="fallback seed for spec categories without one")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for pairwise distances; 0 = auto "
+    parser.add_argument("--threads", type=_thread_count, default=None,
+                        help="accepted for compatibility: the distance kernel is single-threaded, "
+                             "so the count changes neither output nor speed "
                              "(default: WEFTPRINT_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -212,14 +216,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is None:
+            env = os.environ.get("WEFTPRINT_THREADS", "")
+            try:
+                args.threads = _thread_count(env) if env else 1
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"WEFTPRINT_THREADS: {exc}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 
-    if args.threads is None:
-        env = os.environ.get("WEFTPRINT_THREADS", "")
-        args.threads = int(env) if env.isdigit() else 1
     try:
-        args.threads = _resolve_threads(args.threads)
         return _COMMANDS[args.command](args)
     except (GraphParseError, InvalidGraphError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"weftprint {args.command}: error: {exc}", file=sys.stderr)

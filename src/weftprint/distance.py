@@ -10,7 +10,13 @@ all neighborhoods; only nonzero counts are stored.  Five measures:
 * ``tfidf``   -- cosine distance after log TF-IDF weighting against
   collection statistics
 
-All measures iterate the smaller support, so pair cost tracks sparsity.
+The per-pair functions iterate the smaller support, so pair cost tracks
+sparsity.  ``distance_matrix`` computes all pairs at once with one columnar
+kernel: an inverted index from each neighborhood to the rows holding it, so
+a row meets only the rows it shares a neighborhood with (the all-pairs
+scheme of Bayardo, Ma & Srikant, WWW 2007).  Its floats equal the per-pair
+functions bit for bit.
+
 TF and IDF use base-10 logarithms: TF = 1 + log10(count), IDF =
 log10(N / df).  Degenerate conventions, chosen here and documented rather
 than inherited: a cosine distance against an all-zero vector is 1, between
@@ -21,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -29,20 +34,23 @@ import numpy as np
 
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
+_EMPTY_JACCARD = "jaccard distance is undefined on empty fingerprints"
 
 
 def jaccard_distance(r: Mapping, s: Mapping, multiset: bool = True) -> float:
     """Multiset Jaccard distance; ``multiset=False`` ignores counts."""
     if not r and not s:
-        raise ValueError("jaccard distance is undefined on empty fingerprints")
+        raise ValueError(_EMPTY_JACCARD)
     small, large = (r, s) if len(r) <= len(s) else (s, r)
     if not multiset:
         inter = sum(1 for p in small if p in large)
         union = len(r) + len(s) - inter
         return 1.0 - inter / union
     inter_min = sum(min(c, large[p]) for p, c in small.items() if p in large)
-    total = sum(r.values()) + sum(s.values())
-    return 1.0 - inter_min / (total - inter_min)
+    union = sum(r.values()) + sum(s.values()) - inter_min
+    if union == 0:  # keys present, but every count is zero
+        raise ValueError(_EMPTY_JACCARD)
+    return 1.0 - inter_min / union
 
 
 def hamming_bool_distance(r: Mapping, s: Mapping) -> int:
@@ -63,15 +71,32 @@ def hamming_freq_distance(r: Mapping, s: Mapping) -> int:
     return total
 
 
+def _left_sum(values):
+    """Sum in iteration order, one addition at a time.
+
+    Float ``sum()`` is compensated from Python 3.12 on, while the matrix
+    kernel adds left to right; both paths sum through here so that their
+    bits agree on every Python version.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def _norm(values) -> float:
+    return math.sqrt(_left_sum(v * v for v in values))
+
+
 def _sparse_cosine_distance(r: Mapping, s: Mapping) -> float:
-    norm_r = math.sqrt(sum(c * c for c in r.values()))
-    norm_s = math.sqrt(sum(c * c for c in s.values()))
+    norm_r = _norm(r.values())
+    norm_s = _norm(s.values())
     if norm_r == 0.0 and norm_s == 0.0:
         return 0.0
     if norm_r == 0.0 or norm_s == 0.0:
         return 1.0
     small, large = (r, s) if len(r) <= len(s) else (s, r)
-    dot = sum(c * large[p] for p, c in small.items() if p in large)
+    dot = _left_sum(c * large[p] for p, c in small.items() if p in large)
     # rounding can push the similarity a ulp past 1; keep the distance in [0, 1]
     return max(0.0, 1.0 - dot / (norm_r * norm_s))
 
@@ -181,8 +206,11 @@ def distance_matrix(
 ) -> DistanceMatrix:
     """All pairwise distances under one metric.
 
-    Every cell is an independent computation, so the result is identical
-    for any thread count; ``threads=0`` lets the runtime pick.
+    Every cell equals ``pair_distance(fingerprints[i], fingerprints[j])``
+    bit for bit, for i < j.  jaccard, hfreq and cosine need non-negative
+    integer counts.  ``threads`` (>= 0) is accepted for compatibility: the
+    kernel is single-threaded, so it changes neither the result nor the
+    speed.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -190,31 +218,102 @@ def distance_matrix(
         raise ValueError("distance matrix needs at least two fingerprints")
     if metric == "tfidf" and stats is None:
         raise ValueError("tfidf distance matrix needs corpus statistics")
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
     if ids is None:
         ids = tuple(str(i) for i in range(len(fingerprints)))
     if len(ids) != len(fingerprints):
         raise ValueError("ids and fingerprints must have equal length")
 
-    n = len(fingerprints)
-    values = np.zeros((n, n), dtype=np.float64)
-
-    def fill_row(i: int) -> None:
-        fp_i = fingerprints[i]
-        row = values[i]
-        for j in range(i + 1, n):
-            row[j] = pair_distance(fp_i, fingerprints[j], metric, stats)
-
-    workers = threads if threads > 0 else None
-    if threads == 1:
-        for i in range(n - 1):
-            fill_row(i)
+    if metric == "tfidf":
+        vectors = [tfidf_weights(fp, stats) for fp in fingerprints]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(n - 1)))
+        vectors = list(fingerprints)
+    return DistanceMatrix(tuple(ids), _pairwise(vectors, metric), metric)
 
-    upper = np.triu_indices(n, k=1)
-    values[(upper[1], upper[0])] = values[upper]
-    return DistanceMatrix(tuple(ids), values, metric)
+
+def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
+    """The columnar kernel behind ``distance_matrix``.
+
+    Rows are ranked by (support size, index): that puts first the side
+    ``pair_distance(r, s)`` iterates, the smaller support and ``r`` on a
+    tie.  Row ``a`` is paired with every later-ranked row through the
+    posting lists of its own keys, in its own key order, so ``np.bincount``
+    adds each pair's products in the same order as the per-pair loop.
+    Memory grows with the total support size, never with n times the
+    vocabulary.
+    """
+    n = len(vectors)
+    support = np.array([len(v) for v in vectors], dtype=np.int64)
+    order = np.argsort(support, kind="stable")
+    sizes = support[order]
+
+    # CSR rows in rank order, each in its own key order; ids interned once
+    vocab: dict = {}
+    keys: list[int] = []
+    counts: list = []
+    for a in order:
+        v = vectors[a]
+        keys.extend(vocab.setdefault(p, len(vocab)) for p in v)
+        counts.extend(v.values())
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    cols = np.array(keys, dtype=np.int64)
+    data = np.array(counts)
+    entry_row = np.repeat(np.arange(n), sizes)
+    if metric in ("jaccard", "hfreq", "cosine") and data.size:
+        if data.dtype.kind not in "iu" or data.min() < 0:
+            raise ValueError(f"{metric} distance needs non-negative integer counts")
+        # every aggregate is bounded by a row's sum of squares: keep it float-exact
+        if np.bincount(entry_row, weights=data.astype(np.float64) ** 2).max() >= 2.0**52:
+            raise ValueError(f"counts too large for exact {metric} distances")
+    data = data.astype(np.float64)
+
+    # CSC copy: per key, the rows holding it in rank order, and each entry's slot there
+    by_col = np.argsort(cols, kind="stable")
+    col_rows = entry_row[by_col]
+    col_data = data[by_col]
+    col_end = np.cumsum(np.bincount(cols, minlength=len(vocab)))
+    slot = np.empty_like(by_col)
+    slot[by_col] = np.arange(by_col.size)
+
+    totals = np.bincount(entry_row, weights=data, minlength=n)
+    if metric in ("cosine", "tfidf"):
+        norms = np.array([_norm(vectors[a].values()) for a in order])
+
+    values = np.zeros((n, n), dtype=np.float64)
+    for r in range(n - 1):
+        lo, hi = indptr[r], indptr[r + 1]
+        starts = slot[lo:hi] + 1  # later-ranked rows follow row r in each posting list
+        lengths = col_end[cols[lo:hi]] - starts
+        take = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        partner = col_rows[take] - (r + 1)
+        m = n - r - 1
+        mine, theirs = np.repeat(data[lo:hi], lengths), col_data[take]
+        if metric == "hbool":
+            d = sizes[r] + sizes[r + 1:] - 2.0 * np.bincount(partner, minlength=m)
+        elif metric in ("cosine", "tfidf"):
+            d = _cosine_row(np.bincount(partner, weights=mine * theirs, minlength=m), norms[r], norms[r + 1:])
+        else:
+            summin = np.bincount(partner, weights=np.minimum(mine, theirs), minlength=m)
+            union = totals[r] + totals[r + 1:] - summin  # sum of max
+            if metric == "hfreq":
+                d = union - summin
+            elif union.all():
+                d = 1.0 - summin / union
+            else:
+                raise ValueError(_EMPTY_JACCARD)
+        values[order[r], order[r + 1:]] = d
+        values[order[r + 1:], order[r]] = d
+    return values
+
+
+def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarray:
+    """``_sparse_cosine_distance`` for one row against many, same conventions."""
+    if norm_r == 0.0:
+        return np.where(norm_s == 0.0, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = 1.0 - dot / (norm_r * norm_s)
+    return np.where(norm_s == 0.0, 1.0, np.where(d > 0.0, d, 0.0))
 
 
 # --- distance matrix CSV ----------------------------------------------------

@@ -118,6 +118,29 @@ class TestDistmatrix:
                      "--k", "2", "--out", str(out)]) == 0
 
 
+class TestThreadCounts:
+    def distmatrix(self, manifest, tmp_path, *flags):
+        return main([*flags, "distmatrix", "--manifest", str(manifest), "--metric", "jaccard",
+                     "--k", "2", "--out", str(tmp_path / "d.csv")])
+
+    @pytest.mark.parametrize("value", ["four", "-2"])
+    def test_bad_env_value_is_usage_error(self, tiny_corpus, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("WEFTPRINT_THREADS", value)
+        assert self.distmatrix(tiny_corpus, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "WEFTPRINT_THREADS" in err and repr(value) in err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_negative_flag_is_usage_error(self, tiny_corpus, tmp_path, capsys):
+        assert self.distmatrix(tiny_corpus, tmp_path, "--threads", "-2") == 1
+        err = capsys.readouterr().err
+        assert "--threads" in err and "'-2'" in err
+
+    def test_flag_overrides_bad_env_value(self, tiny_corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("WEFTPRINT_THREADS", "four")
+        assert self.distmatrix(tiny_corpus, tmp_path, "--threads", "1") == 0
+
+
 @pytest.fixture()
 def tiny_pipeline(tiny_corpus, tmp_path):
     dist = tmp_path / "dist.csv"

@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weftprint.distance import (
+    METRICS,
     CorpusStats,
     DistanceMatrix,
     corpus_stats,
@@ -42,6 +45,13 @@ class TestJaccard:
     def test_empty_pair_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             jaccard_distance(Counter(), Counter())
+
+    def test_zero_counts_rejected_like_empty(self):
+        zeros = [Counter({"a": 0}), Counter({"b": 0})]
+        with pytest.raises(ValueError, match="empty"):
+            jaccard_distance(*zeros)
+        with pytest.raises(ValueError, match="empty"):
+            distance_matrix(zeros, "jaccard")
 
     def test_one_empty_side(self):
         assert jaccard_distance(R, Counter()) == 1.0
@@ -224,6 +234,101 @@ class TestDistanceMatrix:
             distance_matrix([R], "jaccard")
         with pytest.raises(ValueError, match="unique"):
             DistanceMatrix(("a", "a"), np.zeros((2, 2)))
+
+
+    def test_counts_must_be_non_negative_integers(self):
+        for bad in (Counter({"p": 1.5}), Counter({"p": -1})):
+            for metric in ("jaccard", "hfreq", "cosine"):
+                with pytest.raises(ValueError, match="non-negative integer counts"):
+                    distance_matrix([R, bad], metric)
+
+    def test_negative_thread_count_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            distance_matrix([R, S], "jaccard", threads=-1)
+
+
+# --- the matrix kernel against its per-pair oracle -----------------------------
+#
+# A small key universe makes shared keys, tied support sizes and duplicate
+# fingerprints common; counts of 0 put keys in a support with no weight.
+
+KEYS = st.sampled_from([f"p{i}" for i in range(8)])
+COUNTS = st.integers(0, 9)
+FINGERPRINTS = st.dictionaries(KEYS, COUNTS, max_size=6).map(Counter)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def assert_kernel_matches_pairs(fps):
+    stats = corpus_stats(fps)
+    n = len(fps)
+    for metric in METRICS:
+        try:
+            want = {(i, j): pair_distance(fps[i], fps[j], metric, stats)
+                    for i in range(n) for j in range(i + 1, n)}
+        except ValueError:
+            with pytest.raises(ValueError):
+                distance_matrix(fps, metric, stats=stats)
+            continue
+        values = distance_matrix(fps, metric, stats=stats).values
+        for (i, j), d in want.items():
+            assert bits(values[i, j]) == bits(d), (metric, i, j)
+            assert bits(values[j, i]) == bits(d), (metric, j, i)
+
+
+@st.composite
+def corpora(draw, fingerprints=FINGERPRINTS):
+    fps = draw(st.lists(fingerprints, min_size=2, max_size=8))
+    copies = draw(st.lists(st.integers(0, len(fps) - 1), max_size=3))
+    fps += [Counter(fps[i]) for i in copies]
+    return draw(st.permutations(fps))
+
+
+@st.composite
+def equal_size_corpora(draw):
+    size = draw(st.integers(1, 6))
+    return draw(corpora(st.dictionaries(KEYS, COUNTS, min_size=size, max_size=size).map(Counter)))
+
+
+@st.composite
+def zero_idf_corpora(draw):
+    # every fingerprint holds every weighted key, so every IDF is log10(1) = 0
+    support = sorted(draw(st.sets(KEYS, min_size=1, max_size=5)))
+    fps = []
+    for _ in range(draw(st.integers(2, 6))):
+        fp = Counter({p: draw(st.integers(1, 9)) for p in draw(st.permutations(support))})
+        fp.update({p: 0 for p in draw(st.sets(KEYS, max_size=2)) if p not in fp})
+        fps.append(fp)
+    return fps
+
+
+class TestKernelMatchesPairDistance:
+    @settings(deadline=None)
+    @given(corpora())
+    def test_random_corpora(self, fps):
+        assert_kernel_matches_pairs(fps)
+
+    @settings(deadline=None)
+    @given(equal_size_corpora())
+    def test_equal_support_sizes(self, fps):
+        assert_kernel_matches_pairs(fps)
+
+    @settings(deadline=None)
+    @given(zero_idf_corpora())
+    def test_every_idf_zero(self, fps):
+        assert all(w == 0.0 for fp in fps for w in tfidf_weights(fp, corpus_stats(fps)).values())
+        assert_kernel_matches_pairs(fps)
+
+    @settings(deadline=None)
+    @given(corpora(st.dictionaries(KEYS, COUNTS, min_size=1, max_size=1).map(Counter)))
+    def test_one_key_fingerprints(self, fps):
+        assert_kernel_matches_pairs(fps)
+
+    def test_desk_corpus_all_metrics(self, desk_fingerprints):
+        _, fps = desk_fingerprints[4]
+        assert_kernel_matches_pairs(fps[::6])
 
 
 class TestDistanceCsv:
