@@ -49,7 +49,9 @@ def _thread_count(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weftprint", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0, help="fallback seed for spec categories without one")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="replaces the spec's [corpus] seed, the fallback for categories without one "
+                             "(default: the spec's seed)")
     parser.add_argument("--threads", type=_thread_count, default=None,
                         help="accepted for compatibility: the distance kernel is single-threaded, "
                              "so the count changes neither output nor speed "
@@ -98,7 +100,7 @@ def _load_labels(manifest_path) -> dict[str, str]:
 
 def _cmd_generate(args) -> int:
     spec = corpus_mod.load_corpus_spec(args.spec)
-    if args.seed != 0:
+    if args.seed is not None:
         spec = corpus_mod.CorpusSpec(spec.categories, seed=args.seed)
     manifest = corpus_mod.write_corpus(corpus_mod.generate_corpus(spec), args.out_dir)
     print(f"wrote {manifest}")

@@ -24,6 +24,7 @@ integers and only decodes each distinct neighborhood once.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from .graph import TextileGraph
@@ -224,11 +225,12 @@ def _decode_arm(arm: int, k: int) -> str:
 #
 # One line per neighborhood, '<key> <count>', lines sorted by key.  Key
 # syntax: arms as k-character strings over {A, N, T, 0}, arms joined by ','
-# within a pair, pairs joined by ';', e.g. 'A0,TA;NN,NN' for k=2.
+# within a pair, pairs joined by ';', e.g. 'AA,T0;AN,NT' for k=2.  An arm
+# is a walk: A/N steps, then at most one T and only pads after it.
 
 _TO_FILE = str.maketrans(PAD, "0")
 _FROM_FILE = str.maketrans("0", PAD)
-_FILE_ARM_CHARS = frozenset("ANT0")
+_FILE_ARM = re.compile(r"[AN]*(?:T0*)?")
 
 
 def format_neighborhood(nb: Neighborhood) -> str:
@@ -249,8 +251,8 @@ def parse_neighborhood(key: str) -> Neighborhood:
     if len({len(a) for a in arms}) != 1 or not arms[0]:
         raise ValueError(f"arms must share one positive length: {key!r}")
     for a in arms:
-        if not set(a) <= _FILE_ARM_CHARS:
-            raise ValueError(f"arm {a!r} contains characters outside ANT0")
+        if not _FILE_ARM.fullmatch(a):
+            raise ValueError(f"arm {a!r} is not a walk [AN]*(T0*)?: A/N steps, then at most one T and only 0 pads")
     decoded = [a.translate(_FROM_FILE) for a in arms]
     return canonical_neighborhood(decoded[:2], decoded[2:])
 
@@ -270,7 +272,10 @@ def text_to_fingerprint(text: str) -> Fingerprint:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<key> <count>', got {line!r}")
-        count = int(fields[1])
+        try:
+            count = int(fields[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: count is not an integer: {fields[1]!r}") from None
         if count < 1:
             raise ValueError(f"line {lineno}: count must be >= 1, got {count}")
         key = parse_neighborhood(fields[0])

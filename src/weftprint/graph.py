@@ -22,6 +22,7 @@ level (non-alternating), or ends (terminated).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,18 +135,19 @@ class ValidationReport:
 
 
 def validate(g: TextileGraph) -> ValidationReport:
-    """Check every model invariant; report each broken rule by node index."""
-    out = []
+    """Check every model invariant; report each broken rule by node index.
+
+    Every rule is one array mask over all nodes or crossings; Python only
+    formats the messages of the entries that break it.
+    """
     size = g.node_count
     if size == 0 or size % 4 != 0:
-        out.append(f"node count {size} is not a positive multiple of four")
-        return ValidationReport(tuple(out))
+        return ValidationReport((f"node count {size} is not a positive multiple of four",))
 
     nxt, top, opp = g.next_node, g.on_top, g.opposite
     idx = np.arange(size)
 
-    for i in idx[(opp < 0) | (opp >= size)]:
-        out.append(f"node {i}: opposite index {opp[i]} out of range")
+    out = [f"node {i}: opposite index {opp[i]} out of range" for i in idx[(opp < 0) | (opp >= size)]]
     if out:
         return ValidationReport(tuple(out))
 
@@ -159,17 +161,16 @@ def validate(g: TextileGraph) -> ValidationReport:
     for i in idx[top != top[opp]]:
         out.append(f"node {i}: on_top differs from its opposite node {opp[i]}")
 
-    tops_per_block = top.reshape(-1, 4).sum(axis=1)
+    tops = top.reshape(-1, 4)
+    tops_per_block = tops.sum(axis=1)
     for c in np.nonzero(tops_per_block != 2)[0]:
         out.append(f"crossing {c}: top-edge count != 2 (found {tops_per_block[c]})")
     # The two top nodes must be the same thread, i.e. opposite partners.
-    for c in range(g.crossing_count):
-        if tops_per_block[c] != 2:
-            continue
-        block = np.arange(4 * c, 4 * c + 4)
-        top_nodes = block[top[block]]
-        if opp[top_nodes[0]] != top_nodes[1]:
-            out.append(f"crossing {c}: top nodes {top_nodes[0]} and {top_nodes[1]} are not opposite partners")
+    # With exactly two tops, the first top slot's partner must be the last.
+    first = idx[::4] + tops.argmax(axis=1)
+    last = idx[3::4] - tops[:, ::-1].argmax(axis=1)
+    for c in np.nonzero((tops_per_block == 2) & (opp[first] != last))[0]:
+        out.append(f"crossing {c}: top nodes {first[c]} and {last[c]} are not opposite partners")
 
     out_of_range = (nxt < TERMINAL) | (nxt >= size)
     for i in idx[out_of_range]:
@@ -177,10 +178,9 @@ def validate(g: TextileGraph) -> ValidationReport:
     linked = ~out_of_range & (nxt != TERMINAL)
     for i in idx[linked & (nxt // 4 == idx // 4)]:
         out.append(f"node {i}: thread link stays inside its own crossing")
-    for i in idx[linked]:
-        j = nxt[i]
-        if 0 <= j < size and nxt[j] != i:
-            out.append(f"node {i}: asymmetric thread link (next({i})={j}, next({j})={nxt[j]})")
+    back = nxt[np.where(linked, nxt, 0)]
+    for i in idx[linked & (back != idx)]:
+        out.append(f"node {i}: asymmetric thread link (next({i})={nxt[i]}, next({nxt[i]})={back[i]})")
 
     return ValidationReport(tuple(out))
 
@@ -207,6 +207,17 @@ def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
 
 _FORMAT_COMMENT = "# weftprint graph format 1"
 
+# The spelling serialize_graph writes: an optional format comment, the
+# header, then 4n lines of four single-space-separated integers without
+# signs or leading zeros.  Text spelled this way is read in one regex pass
+# and one numpy conversion; anything else goes to the line-by-line reader.
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL = re.compile(
+    rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n"
+    rf"((?:{_INT} (?:-1|{_INT}) [01] {_INT}\n)*)"
+)
+_TOKEN = re.compile(r"\S+")
+
 
 def _significant_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,6 +227,11 @@ def _significant_lines(text):
         yield lineno, raw, stripped
 
 
+def _fields(raw):
+    """Whitespace-separated tokens of a line, each with its 1-based column."""
+    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
+
+
 def _int_field(token, lineno, column, what):
     try:
         return int(token)
@@ -223,22 +239,41 @@ def _int_field(token, lineno, column, what):
         raise GraphParseError(f"{what} is not an integer: {token!r}", lineno, column) from None
 
 
-def parse_graph(text: str) -> TextileGraph:
-    """Parse ``.tg`` text into a validated graph.
+def _parse_canonical(text):
+    """``(next, top, opposite)`` of canonically spelled text, else ``None``.
 
-    Node order is preserved exactly as written.  Raises
-    :class:`GraphParseError` for syntax problems (with line/column) and
-    :class:`InvalidGraphError` when the encoded graph breaks an invariant.
+    ``None`` only means "not canonical": the caller then runs
+    :func:`_parse_lines`, which accepts or rejects the text itself.
+    """
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    size = 4 * int(match.group(1))
+    fields = np.fromstring(match.group(2), dtype=np.int64, sep=" ")
+    if fields.size != 4 * size:
+        return None
+    ids, nxt, top, opp = fields.reshape(size, 4).T
+    if not np.array_equal(ids, np.arange(size)) or nxt.max() >= size or opp.max() >= size:
+        return None
+    return nxt, top.astype(np.bool_), opp
+
+
+def _parse_lines(text):
+    """``(next, top, opposite)`` of any text the grammar allows.
+
+    The reference reader, and the one that reports syntax errors, with
+    the line and column of the offending field.
     """
     lines = list(_significant_lines(text))
     if not lines:
         raise GraphParseError("empty graph file")
 
     lineno, raw, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "crossings":
+    parts = _fields(raw)
+    if len(parts) != 2 or parts[0][0] != "crossings":
         raise GraphParseError(f"expected 'crossings <n>' header, got {header!r}", lineno)
-    n = _int_field(parts[1], lineno, raw.index(parts[1]) + 1, "crossing count")
+    count_token, count_col = parts[1]
+    n = _int_field(count_token, lineno, count_col, "crossing count")
     if n < 1:
         raise GraphParseError(f"crossing count must be >= 1, got {n}", lineno)
 
@@ -250,28 +285,42 @@ def parse_graph(text: str) -> TextileGraph:
     nxt = np.empty(size, dtype=np.int64)
     top = np.empty(size, dtype=np.bool_)
     opp = np.empty(size, dtype=np.int64)
-    for expected, (lineno, raw, stripped) in enumerate(node_lines):
-        fields = stripped.split()
+    for expected, (lineno, raw, _) in enumerate(node_lines):
+        fields = _fields(raw)
         if len(fields) != 4:
             raise GraphParseError(f"expected 4 fields '<id> <next> <top> <opp>', got {len(fields)}", lineno)
-        cols = [raw.index(f) + 1 for f in fields]
-        node_id = _int_field(fields[0], lineno, cols[0], "node id")
+        (id_token, id_col), (next_token, next_col), (top_token, top_col), (opp_token, opp_col) = fields
+        node_id = _int_field(id_token, lineno, id_col, "node id")
         if node_id != expected:
-            raise GraphParseError(f"node id {node_id} out of order, expected {expected}", lineno, cols[0])
-        value = _int_field(fields[1], lineno, cols[1], "next index")
+            raise GraphParseError(f"node id {node_id} out of order, expected {expected}", lineno, id_col)
+        value = _int_field(next_token, lineno, next_col, "next index")
         if value != TERMINAL and not 0 <= value < size:
-            raise GraphParseError(f"next index {value} out of range [-1, {size})", lineno, cols[1])
+            raise GraphParseError(f"next index {value} out of range [-1, {size})", lineno, next_col)
         nxt[expected] = value
-        flag = _int_field(fields[2], lineno, cols[2], "top flag")
+        flag = _int_field(top_token, lineno, top_col, "top flag")
         if flag not in (0, 1):
-            raise GraphParseError(f"top flag must be 0 or 1, got {flag}", lineno, cols[2])
+            raise GraphParseError(f"top flag must be 0 or 1, got {flag}", lineno, top_col)
         top[expected] = bool(flag)
-        value = _int_field(fields[3], lineno, cols[3], "opposite index")
+        value = _int_field(opp_token, lineno, opp_col, "opposite index")
         if not 0 <= value < size:
-            raise GraphParseError(f"opposite index {value} out of range [0, {size})", lineno, cols[3])
+            raise GraphParseError(f"opposite index {value} out of range [0, {size})", lineno, opp_col)
         opp[expected] = value
+    return nxt, top, opp
 
-    g = TextileGraph(nxt, top, opp)
+
+def parse_graph(text: str) -> TextileGraph:
+    """Parse ``.tg`` text into a validated graph.
+
+    Node order is preserved exactly as written.  Raises
+    :class:`GraphParseError` for syntax problems (with line/column) and
+    :class:`InvalidGraphError` when the encoded graph breaks an invariant.
+    Canonical text takes a one-pass fast path; every other spelling, and
+    every error, goes through the line-by-line reader.
+    """
+    arrays = _parse_canonical(text)
+    if arrays is None:
+        arrays = _parse_lines(text)
+    g = TextileGraph(*arrays)
     report = validate(g)
     if not report.ok:
         raise InvalidGraphError(report.violations)
@@ -280,11 +329,10 @@ def parse_graph(text: str) -> TextileGraph:
 
 def serialize_graph(g: TextileGraph) -> str:
     """Canonical ``.tg`` text; inverse of :func:`parse_graph` for valid graphs."""
-    lines = [_FORMAT_COMMENT, f"crossings {g.crossing_count}"]
-    nxt, top, opp = g.next_node, g.on_top, g.opposite
-    for i in range(g.node_count):
-        lines.append(f"{i} {nxt[i]} {1 if top[i] else 0} {opp[i]}")
-    return "\n".join(lines) + "\n"
+    # One %-format over plain ints from .tolist(); numpy scalars format slowly.
+    rows = np.column_stack([np.arange(g.node_count), g.next_node, g.on_top, g.opposite])
+    body = ("%d %d %d %d\n" * g.node_count) % tuple(rows.ravel().tolist())
+    return f"{_FORMAT_COMMENT}\ncrossings {g.crossing_count}\n{body}"
 
 
 def load_graph(path) -> TextileGraph:

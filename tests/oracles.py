@@ -3,12 +3,16 @@
 These deliberately avoid the shortcuts the production code relies on: the
 fingerprint oracle walks an explicit hyperedge structure with no flat-array
 indexing or partner array, and the clustering oracle recomputes every
-cluster distance from the original matrix at every step.
+cluster distance from the original matrix at every step.  The validation
+oracle checks crossing by crossing and link by link in Python loops.
 """
 
 from statistics import fmean
 
+import numpy as np
+
 from weftprint.fingerprint import PAD
+from weftprint.graph import TERMINAL
 
 
 def explicit_hypergraph(g):
@@ -63,6 +67,57 @@ def naive_fingerprint(g, k):
         pairs = sorted([top_pair, bottom_pair])
         counts[f"{pairs[0][0]},{pairs[0][1]};{pairs[1][0]},{pairs[1][1]}"] += 1
     return counts
+
+
+def naive_validate(g):
+    """Violations tuple of ``graph.validate``, one crossing and one link at a time."""
+    out = []
+    size = g.node_count
+    if size == 0 or size % 4 != 0:
+        out.append(f"node count {size} is not a positive multiple of four")
+        return tuple(out)
+
+    nxt, top, opp = g.next_node, g.on_top, g.opposite
+    idx = np.arange(size)
+
+    for i in idx[(opp < 0) | (opp >= size)]:
+        out.append(f"node {i}: opposite index {opp[i]} out of range")
+    if out:
+        return tuple(out)
+
+    for i in idx[opp == idx]:
+        out.append(f"node {i}: opposite link points at itself")
+    for i in idx[opp // 4 != idx // 4]:
+        out.append(f"node {i}: opposite node {opp[i]} lies in a different crossing")
+    bad_involution = (opp[opp] != idx) & (opp != idx)
+    for i in idx[bad_involution]:
+        out.append(f"node {i}: opposite link is not an involution (opposite({i})={opp[i]}, opposite({opp[i]})={opp[opp[i]]})")
+    for i in idx[top != top[opp]]:
+        out.append(f"node {i}: on_top differs from its opposite node {opp[i]}")
+
+    tops_per_block = top.reshape(-1, 4).sum(axis=1)
+    for c in np.nonzero(tops_per_block != 2)[0]:
+        out.append(f"crossing {c}: top-edge count != 2 (found {tops_per_block[c]})")
+    for c in range(g.crossing_count):
+        if tops_per_block[c] != 2:
+            continue
+        block = np.arange(4 * c, 4 * c + 4)
+        top_nodes = block[top[block]]
+        if opp[top_nodes[0]] != top_nodes[1]:
+            out.append(f"crossing {c}: top nodes {top_nodes[0]} and {top_nodes[1]} are not opposite partners")
+
+    out_of_range = (nxt < TERMINAL) | (nxt >= size)
+    for i in idx[out_of_range]:
+        out.append(f"node {i}: next index {nxt[i]} out of range")
+    linked = ~out_of_range & (nxt != TERMINAL)
+    for i in idx[linked & (nxt // 4 == idx // 4)]:
+        out.append(f"node {i}: thread link stays inside its own crossing")
+    for i in idx[linked]:
+        j = nxt[i]
+        if 0 <= j < size and nxt[j] != i:
+            out.append(f"node {i}: asymmetric thread link (next({i})={j}, next({j})={nxt[j]})")
+
+    return tuple(out)
 
 
 def naive_upgma_merges(dm):

@@ -57,6 +57,18 @@ class TestGenerate:
             outputs.append({p.name: read(p) for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
 
+    def test_seed_zero_overrides_the_spec_seed(self, tmp_path):
+        def generate(name, spec_seed, *flags):
+            spec = tmp_path / f"{name}.ini"
+            spec.write_text(f"[corpus]\nseed = {spec_seed}\n\n[noise]\nkind = random(0.5)\ncount = 2\nwidth = 5\nheight = 5\n")
+            out = tmp_path / name
+            assert main([*flags, "generate", "--spec", str(spec), "--out-dir", str(out)]) == 0
+            return {p.name: read(p) for p in sorted(out.iterdir())}
+
+        spec_seed_zero = generate("spec0", 0)
+        assert generate("flag0", 5, "--seed", "0") == spec_seed_zero
+        assert generate("spec5", 5) != spec_seed_zero
+
     def test_missing_spec_file_is_data_error(self, tmp_path, capsys):
         code = main(["generate", "--spec", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)])
         assert code == 2

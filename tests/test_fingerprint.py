@@ -190,8 +190,15 @@ class TestFingerprintFiles:
         assert format_neighborhood(f"A{PAD},TA;NN,NN") == "A0,TA;NN,NN"
 
     def test_parse_round_trips_and_canonicalizes(self):
-        assert parse_neighborhood("A0,TA;NN,NN") == f"A{PAD},TA;NN,NN"
-        assert parse_neighborhood("NN,NN;TA,A0") == f"A{PAD},TA;NN,NN"
+        assert parse_neighborhood("AA,T0;AN,NT") == f"AA,T{PAD};AN,NT"
+        assert parse_neighborhood("NT,AN;T0,AA") == f"AA,T{PAD};AN,NT"
+
+    def test_parse_rejects_arms_that_are_not_walks(self):
+        # An arm is [AN]*(T0*)?: pads only after a T, nothing after the pads.
+        for bad in ("0A,A0;AA,AA", "A0,AA;AA,AA", "TA,AA;AA,AA", "TT,AA;AA,AA", "T0A,AAA;AAA,AAA", "0,A;A,A"):
+            with pytest.raises(ValueError, match="not a walk"):
+                parse_neighborhood(bad)
+        assert parse_neighborhood("AT,T0;NA,NN") == f"AT,T{PAD};NA,NN"
 
     def test_parse_rejects_malformed_keys(self):
         for bad in ("AA,AA", "AA;AA;AA", "AA,A;AA,AA", "AX,AA;AA,AA", ",;,"):
@@ -208,6 +215,10 @@ class TestFingerprintFiles:
     def test_text_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="count"):
             text_to_fingerprint("A,A;A,A 0\n")
+
+    def test_text_reports_non_integer_count_with_line(self):
+        with pytest.raises(ValueError, match=r"line 2: count is not an integer: 'x'"):
+            text_to_fingerprint("A,A;A,A 1\nA,A;A,T x\n")
 
     def test_text_rejects_mixed_depths(self):
         with pytest.raises(ValueError, match="depth"):

@@ -9,12 +9,16 @@ from weftprint.graph import (
     GraphParseError,
     InvalidGraphError,
     TextileGraph,
+    _parse_canonical,
+    _parse_lines,
     edge_label,
     parse_graph,
     serialize_graph,
     validate,
 )
 from weftprint.weaves import grid_to_graph, plain_weave, random_weave
+
+from oracles import naive_validate
 
 ONE_CROSSING = """\
 crossings 1
@@ -85,6 +89,24 @@ class TestParse:
         text = ONE_CROSSING.replace("0 -1 1 1", "0 -1 2 1")
         with pytest.raises(GraphParseError, match="top flag"):
             parse_graph(text)
+
+    def test_error_column_is_the_fields_own_position(self):
+        # The bad flag's text "2" also appears earlier on the line.
+        text = ONE_CROSSING.replace("2 -1 0 3", "2 2 2 3")
+        with pytest.raises(GraphParseError, match="top flag") as err:
+            parse_graph(text)
+        assert (err.value.line, err.value.column) == (4, 5)
+
+    def test_header_error_column_is_the_fields_own_position(self):
+        # "ss" also appears inside the word "crossings".
+        with pytest.raises(GraphParseError, match="crossing count") as err:
+            parse_graph("crossings ss\n")
+        assert (err.value.line, err.value.column) == (1, 11)
+
+    def test_other_spellings_parse_like_canonical_text(self):
+        spelled = "\n  crossings\t+1\r\n0 -1 1 01\n1  -1 1 0\n# note\n2 -1 0 3\n3 -1 0 +2"
+        assert _parse_canonical(spelled) is None
+        assert parse_graph(spelled) == parse_graph(ONE_CROSSING)
 
     def test_semantically_invalid_graph_rejected(self):
         # next(0)=4 but next(4) stays terminal: asymmetric thread link
@@ -210,7 +232,175 @@ class TestEdgeLabel:
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31))
 def test_parse_serialize_identity_property(w, h, seed):
     g = grid_to_graph(random_weave(0.5, w, h, seed))
-    assert parse_graph(serialize_graph(g)) == g
+    text = serialize_graph(g)
+    assert parse_graph(text) == g
+    # Canonical text takes the fast path, which reads what the reference reads.
+    fast = _parse_canonical(text)
+    assert fast is not None
+    assert TextileGraph(*fast) == TextileGraph(*_parse_lines(text)) == g
+
+
+# --- fast path against the reference reader ----------------------------------
+
+_ODD_TOKENS = ["+1", "-0", "007", "1_0", "x", "-2", "2", "-1", "10" * 12, "\u0663", "1.0", ""]
+
+
+def _reference_parse(text):
+    """The line-by-line reader plus the loop-based validation oracle."""
+    g = TextileGraph(*_parse_lines(text))
+    violations = naive_validate(g)
+    if violations:
+        raise InvalidGraphError(violations)
+    return g
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (GraphParseError, InvalidGraphError) as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+@st.composite
+def mutated_tg_text(draw):
+    """Serialized graph text after a few token, line and spelling mutations."""
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = grid_to_graph(random_weave(0.5, w, h, draw(st.integers(0, 2**31))))
+    size = g.node_count
+    lines = serialize_graph(g).split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" ")
+        pos = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from([
+            "swap", "drop", "duplicate", "value", "odd", "sign", "tab", "space", "indent",
+            "comment", "blank", "drop_line", "duplicate_line", "crlf", "top", "id",
+        ]))
+        if op == "swap":
+            other = draw(st.integers(0, len(tokens) - 1))
+            tokens[pos], tokens[other] = tokens[other], tokens[pos]
+        elif op == "drop":
+            del tokens[pos]
+        elif op == "duplicate":
+            tokens.insert(pos, tokens[pos])
+        elif op == "value":
+            tokens[pos] = str(draw(st.sampled_from([size, size - 1, size + 1, -1, 0, 1, 4 * size])))
+        elif op == "odd":
+            tokens[pos] = draw(st.sampled_from(_ODD_TOKENS))
+        elif op == "sign":
+            tokens[pos] = "+" + tokens[pos]
+        elif op == "tab":
+            tokens[pos] = tokens[pos] + "\t"
+        elif op == "space":
+            tokens[pos] = tokens[pos] + " "
+        elif op == "indent":
+            tokens[0] = draw(st.sampled_from([" ", "\t", "\u00a0"])) + tokens[0]
+        elif op == "comment":
+            lines.insert(at, draw(st.sampled_from(["# comment", "  # indented", "#"])))
+            continue
+        elif op == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        elif op == "drop_line":
+            del lines[at]
+            continue
+        elif op == "duplicate_line":
+            lines.insert(at, lines[at])
+            continue
+        elif op == "crlf":
+            tokens[-1] = tokens[-1] + "\r"
+        elif op == "top" and len(tokens) == 4:
+            tokens[2] = "0" if tokens[2] == "1" else "1"
+        elif op == "id" and len(tokens) == 4:
+            tokens[0] = str(draw(st.integers(0, size)))
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("0 -1 1 1", "0 -1 1 4"),  # opposite index = node count
+    ("0 -1 1 1", "0 4 1 1"),  # next index = node count
+    ("1 -1 1 0", "2 -1 1 0"),  # id out of order
+    ("3 -1 0 2", "3 -1 0 2\n4 -1 0 2"),  # one node line too many
+])
+def test_canonical_spelling_with_bad_values_falls_back(line, replacement):
+    text = ONE_CROSSING.replace(line, replacement)
+    assert _parse_canonical(text) is None
+    outcome = _outcome(parse_graph, text)
+    assert outcome[0] is GraphParseError
+    assert outcome == _outcome(_reference_parse, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_tg_text())
+def test_fast_path_matches_reference_reader(text):
+    # Any other exception type escapes _outcome and fails the test.
+    assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
+    fast = _parse_canonical(text)
+    if fast is not None:
+        reference = _parse_lines(text)
+        for got, want in zip(fast, reference):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+# --- loop-free validate against the loop-based oracle --------------------------
+
+
+@st.composite
+def mutated_graph(draw):
+    """A valid graph with a few of its invariants broken on purpose."""
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = grid_to_graph(random_weave(0.5, w, h, draw(st.integers(0, 2**31))))
+    nxt, top, opp = g.next_node.copy(), g.on_top.copy(), g.opposite.copy()
+    size = len(nxt)
+    node = st.integers(0, size - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(node)
+        b = 4 * (i // 4)
+        op = draw(st.sampled_from([
+            "flip_top", "three_tops", "split_tops", "link", "in_crossing_link",
+            "next_out_of_range", "opposite", "opposite_out_of_range", "truncate",
+        ]))
+        if op == "flip_top":
+            top[i] = not top[i]
+        elif op == "three_tops":
+            top[b:b + 4] = True
+            top[b + draw(st.integers(0, 3))] = False
+        elif op == "split_tops":
+            # one top node on each thread of the crossing
+            top[b:b + 4] = False
+            top[i] = True
+            top[b + (opp[i] - b + draw(st.integers(1, 2))) % 4] = True
+        elif op == "link":
+            nxt[i] = draw(node)
+        elif op == "in_crossing_link":
+            nxt[i] = b + draw(st.integers(0, 3))
+        elif op == "next_out_of_range":
+            nxt[i] = draw(st.sampled_from([-3, -2, size, size + 5]))
+        elif op == "opposite":
+            opp[i] = draw(node)
+        elif op == "opposite_out_of_range":
+            opp[i] = draw(st.sampled_from([-1, size, size + 2]))
+        elif op == "truncate":
+            keep = draw(st.integers(0, size - 1))
+            nxt, top, opp = nxt[:keep], top[:keep], opp[:keep]
+            break
+    return TextileGraph(nxt, top, opp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_graph())
+def test_validate_matches_loop_oracle(g):
+    assert validate(g).violations == naive_validate(g)
+
+
+def test_validate_matches_loop_oracle_on_broken_partners():
+    # Crossing 0: tops on slots 0 and 2, but 0's partner is 1.
+    g = graph_from_rows([(-1, 1, 1), (-1, 0, 0), (-1, 1, 3), (-1, 0, 2)])
+    violations = validate(g).violations
+    assert "crossing 0: top nodes 0 and 2 are not opposite partners" in violations
+    assert violations == naive_validate(g)
 
 
 def test_graph_equality_and_immutability():
