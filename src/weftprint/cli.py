@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -36,26 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _thread_count(text: str) -> int:
-    """A thread count for ``--threads`` or ``WEFTPRINT_THREADS``: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"thread count must be an integer >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weftprint", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=None,
                         help="replaces the spec's [corpus] seed, the fallback for categories without one "
                              "(default: the spec's seed)")
-    parser.add_argument("--threads", type=_thread_count, default=None,
-                        help="accepted for compatibility: the distance kernel is single-threaded, "
-                             "so the count changes neither output nor speed "
-                             "(default: WEFTPRINT_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a corpus of .tg files from a spec")
@@ -124,16 +108,16 @@ def _cmd_fingerprint(args) -> int:
     return 0
 
 
-def _build_matrix(manifest_path, metric, k, threads):
+def _build_matrix(manifest_path, metric, k):
     rows = corpus_mod.read_manifest(manifest_path)
     ids = [r[0] for r in rows]
     fps = [fingerprint(load_graph(r[1]), k) for r in rows]
     stats = distance_mod.corpus_stats(fps) if metric == "tfidf" else None
-    return distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats, threads=threads)
+    return distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats)
 
 
 def _cmd_distmatrix(args) -> int:
-    dm = _build_matrix(args.manifest, args.metric, args.k, args.threads)
+    dm = _build_matrix(args.manifest, args.metric, args.k)
     distance_mod.save_distance_matrix(dm, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -195,7 +179,7 @@ def _cmd_bench(args) -> int:
                 start = time.perf_counter()
                 fps = [fingerprint(g, k) for g in graphs]
                 stats = distance_mod.corpus_stats(fps) if metric == "tfidf" else None
-                distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats, threads=args.threads)
+                distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -218,12 +202,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is None:
-            env = os.environ.get("WEFTPRINT_THREADS", "")
-            try:
-                args.threads = _thread_count(env) if env else 1
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"WEFTPRINT_THREADS: {exc}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 

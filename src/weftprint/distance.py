@@ -357,6 +357,11 @@ def csv_to_distance_matrix(text: str) -> DistanceMatrix:
         if len(row) != n + 1 or row[0] != ids[i]:
             raise ValueError(f"distance CSV row {i + 1} does not match header ids")
         values[i] = [float(x) for x in row[1:]]
+    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
+                         f"got {values[i, j]} in column {ids[j]!r}")
     return DistanceMatrix(ids, values)
 
 

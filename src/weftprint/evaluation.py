@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,31 +77,26 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
 
     Representatives are original matrix indices; the surviving cluster
     keeps the smaller one.  Mean pairwise distances are maintained
-    incrementally as size-weighted averages, which reproduces the
-    from-scratch mean exactly.  Ties resolve to the smallest (rep_i,
-    rep_j) pair.
+    incrementally as size-weighted averages, equal to the from-scratch
+    mean up to rounding.  Ties between equal stored means resolve to the
+    smallest (rep_i, rep_j) pair.  Only the upper triangle of ``dm`` is read.
     """
     n = len(dm.ids)
-    d = dm.values.astype(np.float64).copy()
+    d = np.array(dm.values, dtype=np.float64)
+    lower = np.tril_indices(n, -1)
+    d[lower] = d.T[lower]  # mirror the upper triangle
     np.fill_diagonal(d, np.inf)
-    d[np.tril_indices(n)] = np.inf  # scan upper triangle only
     sizes = np.ones(n)
     merges = []
     for _ in range(n - 1):
-        flat = int(np.argmin(d))  # row-major: smallest distance, then (i, j)
-        i, j = divmod(flat, n)
+        # Row-major first minimum of a symmetric matrix lies above the
+        # diagonal: the smallest distance, then the smallest (i, j).
+        i, j = divmod(int(np.argmin(d)), n)
         merges.append((i, j, float(d[i, j])))
         wi, wj = sizes[i], sizes[j]
-        for other in range(n):
-            if other == i or other == j or sizes[other] == 0:
-                continue
-            a, b = (other, i) if other < i else (i, other)
-            aj, bj = (other, j) if other < j else (j, other)
-            d[a, b] = (wi * d[a, b] + wj * d[aj, bj]) / (wi + wj)
+        d[i] = d[:, i] = (wi * d[i] + wj * d[j]) / (wi + wj)
+        d[i, i] = d[j] = d[:, j] = np.inf
         sizes[i] = wi + wj
-        sizes[j] = 0
-        d[j, :] = np.inf
-        d[:, j] = np.inf
     return merges
 
 
@@ -111,20 +105,13 @@ def upgma_cluster(dm: DistanceMatrix, m: int) -> Partition:
     n = len(dm.ids)
     if not 1 <= m <= n:
         raise ValueError(f"target cluster count {m} out of range [1, {n}]")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    root = list(range(n))
     for i, j, _ in upgma_merges(dm)[: n - m]:
-        parent[find(j)] = find(i)
-
-    reps = sorted({find(x) for x in range(n)})
-    rep_to_cid = {rep: cid for cid, rep in enumerate(reps)}
-    return Partition({dm.ids[x]: rep_to_cid[find(x)] for x in range(n)})
+        root[j] = i
+    for x in range(n):  # root[x] <= x, so earlier entries are already final
+        root[x] = root[root[x]]
+    _, cids = np.unique(root, return_inverse=True)
+    return Partition(dict(zip(dm.ids, cids.tolist())))
 
 
 @dataclass(frozen=True)
@@ -148,25 +135,27 @@ class ClusterScores:
     f_measure: float
 
 
+def _pairs(labels: np.ndarray) -> int:
+    """Unordered pairs of equal labels: the sum of C(count, 2) over labels."""
+    counts = np.bincount(labels)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def pair_scores(predicted: Partition, truth: Partition) -> ClusterScores:
-    """Pair-counting agreement between a clustering and the ground truth."""
-    ids = sorted(predicted.assignment)
-    if set(ids) != set(truth.assignment):
+    """Pair-counting agreement between a clustering and the ground truth.
+
+    The pair counts come from the contingency table of the two partitions
+    (Hubert & Arabie, "Comparing partitions", 1985), in integers.
+    """
+    if set(predicted.assignment) != set(truth.assignment):
         raise ValueError("partitions cover different id sets")
-    tp = tn = fp = fn = 0
-    pred = predicted.assignment
-    true = truth.assignment
-    for a, b in combinations(ids, 2):
-        same_pred = pred[a] == pred[b]
-        same_true = true[a] == true[b]
-        if same_pred and same_true:
-            tp += 1
-        elif same_pred:
-            fp += 1
-        elif same_true:
-            fn += 1
-        else:
-            tn += 1
+    n = len(predicted.assignment)
+    pred = np.fromiter(predicted.assignment.values(), dtype=np.int64, count=n)
+    true = np.fromiter((truth.assignment[item] for item in predicted.assignment), dtype=np.int64, count=n)
+    tp = _pairs(pred * n + true)
+    fp = _pairs(pred) - tp
+    fn = _pairs(true) - tp
+    tn = n * (n - 1) // 2 - tp - fp - fn
     confusion = PairConfusion(tp, tn, fp, fn)
     total = confusion.total
     ri = (tp + tn) / total if total else 1.0
@@ -176,14 +165,32 @@ def pair_scores(predicted: Partition, truth: Partition) -> ClusterScores:
     return ClusterScores(confusion, ri, precision, recall, f)
 
 
+def _rankings(dm: DistanceMatrix, queries):
+    """Yield ``(q, order)``: the other matrix indices nearest first, ties on ascending id."""
+    n = len(dm.ids)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=dm.ids.__getitem__)] = np.arange(n)
+    for q in queries:
+        order = np.lexsort((id_rank, dm.values[q]))
+        yield q, order[order != q]
+
+
 def rank_for_query(dm: DistanceMatrix, query: str) -> list[str]:
     """All other ids, nearest first; ties break on ascending id."""
     if len(dm.ids) < 2:
         raise ValueError("ranking needs at least two items")
-    q = dm.index_of(query)
-    row = dm.values[q]
-    order = sorted((i for i in range(len(dm.ids)) if i != q), key=lambda i: (row[i], dm.ids[i]))
-    return [dm.ids[i] for i in order]
+    _, order = next(_rankings(dm, [dm.index_of(query)]))
+    return [dm.ids[i] for i in order.tolist()]
+
+
+def _precision(hit: np.ndarray, m: int):
+    """Hits and precision after each rank, and the average precision over ``m`` relevant items.
+
+    ``np.cumsum`` adds left to right, so every sum is that of a plain loop.
+    """
+    hits = np.cumsum(hit)
+    precision = hits / np.arange(1, len(hit) + 1)
+    return hits, precision, float(np.cumsum(precision[hit])[-1] / m)
 
 
 def average_precision(ranked: Sequence[str], relevant) -> float:
@@ -194,36 +201,12 @@ def average_precision(ranked: Sequence[str], relevant) -> float:
     missing = relevant - set(ranked)
     if missing:
         raise ValueError(f"relevant items missing from the ranking: {sorted(missing)[:3]}")
-    hits = 0
-    precision_sum = 0.0
-    for position, item in enumerate(ranked, start=1):
-        if item in relevant:
-            hits += 1
-            precision_sum += hits / position
-    return precision_sum / len(relevant)
-
-
-def _queries(dm: DistanceMatrix, labels: Mapping[str, str]):
-    """Yield (query id, ranked list, relevant set); skip memberless categories."""
-    if set(labels) != set(dm.ids):
-        raise ValueError("labels cover a different id set than the distance matrix")
-    by_category: dict[str, set[str]] = {}
-    for item, category in labels.items():
-        by_category.setdefault(category, set()).add(item)
-    for query in dm.ids:
-        relevant = by_category[labels[query]] - {query}
-        if not relevant:
-            warnings.warn(f"category {labels[query]!r} has a single member; query {query!r} skipped")
-            continue
-        yield query, rank_for_query(dm, query), relevant
+    return _precision(np.array([item in relevant for item in ranked]), len(relevant))[2]
 
 
 def map_score(dm: DistanceMatrix, labels: Mapping[str, str]) -> float:
     """Mean average precision over all queries with at least one relevant item."""
-    scores = [average_precision(ranked, relevant) for _, ranked, relevant in _queries(dm, labels)]
-    if not scores:
-        raise ValueError("no query has a relevant item")
-    return sum(scores) / len(scores)
+    return interpolated_curves(dm, labels).map
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,26 +229,25 @@ class RetrievalCurves:
 
 def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> RetrievalCurves:
     """Average the per-query interpolated precision and F over 11 recall levels."""
+    if set(labels) != set(dm.ids):
+        raise ValueError("labels cover a different id set than the distance matrix")
+    codes: dict[str, int] = {}
+    category = np.array([codes.setdefault(labels[item], len(codes)) for item in dm.ids])
     precision_sum = np.zeros(len(RECALL_LEVELS))
     f_sum = np.zeros(len(RECALL_LEVELS))
     ap_sum = 0.0
     n_queries = 0
-    for _, ranked, relevant in _queries(dm, labels):
-        m = len(relevant)
-        hits = 0
-        ap = 0.0
-        precision = np.empty(len(ranked))
-        recall = np.empty(len(ranked))
-        for t, item in enumerate(ranked):
-            if item in relevant:
-                hits += 1
-                ap += hits / (t + 1)
-            precision[t] = hits / (t + 1)
-            recall[t] = hits / m
-        ap /= m
+    for q, order in _rankings(dm, range(len(dm.ids))):
+        hit = category[order] == category[q]
+        m = int(hit.sum())
+        if not m:
+            query = dm.ids[q]
+            warnings.warn(f"category {labels[query]!r} has a single member; query {query!r} skipped")
+            continue
+        hits, precision, ap = _precision(hit, m)
         # Best precision at any recall >= level: running max from the right.
         best_from_right = np.maximum.accumulate(precision[::-1])[::-1]
-        first_at_level = np.searchsorted(recall, RECALL_LEVELS, side="left")
+        first_at_level = np.searchsorted(hits / m, RECALL_LEVELS, side="left")
         interp_p = best_from_right[first_at_level]
         with np.errstate(invalid="ignore"):
             interp_f = np.where(

@@ -231,6 +231,7 @@ def _decode_arm(arm: int, k: int) -> str:
 _TO_FILE = str.maketrans(PAD, "0")
 _FROM_FILE = str.maketrans("0", PAD)
 _FILE_ARM = re.compile(r"[AN]*(?:T0*)?")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def format_neighborhood(nb: Neighborhood) -> str:
@@ -272,10 +273,9 @@ def text_to_fingerprint(text: str) -> Fingerprint:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<key> <count>', got {line!r}")
-        try:
-            count = int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: count is not an integer: {fields[1]!r}") from None
+        if not _DECIMAL.fullmatch(fields[1]):
+            raise ValueError(f"line {lineno}: count is not an integer: {fields[1]!r}")
+        count = int(fields[1])
         if count < 1:
             raise ValueError(f"line {lineno}: count must be >= 1, got {count}")
         key = parse_neighborhood(fields[0])

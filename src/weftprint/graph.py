@@ -217,6 +217,7 @@ _CANONICAL = re.compile(
     rf"((?:{_INT} (?:-1|{_INT}) [01] {_INT}\n)*)"
 )
 _TOKEN = re.compile(r"\S+")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def _significant_lines(text):
@@ -233,10 +234,9 @@ def _fields(raw):
 
 
 def _int_field(token, lineno, column, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphParseError(f"{what} is not an integer: {token!r}", lineno, column) from None
+    if not _DECIMAL.fullmatch(token):
+        raise GraphParseError(f"{what} is not an integer: {token!r}", lineno, column)
+    return int(token)
 
 
 def _parse_canonical(text):

@@ -52,10 +52,10 @@ def corpus_fingerprints(corpus: list[CorpusItem], k: int):
     return ids, fps
 
 
-def corpus_distance_matrix(corpus: list[CorpusItem], k: int, metric: str, threads: int = 1) -> DistanceMatrix:
+def corpus_distance_matrix(corpus: list[CorpusItem], k: int, metric: str) -> DistanceMatrix:
     ids, fps = corpus_fingerprints(corpus, k)
     stats = corpus_stats(fps) if metric == "tfidf" else None
-    return distance_matrix(fps, metric, ids=ids, stats=stats, threads=threads)
+    return distance_matrix(fps, metric, ids=ids, stats=stats)
 
 
 def evaluate_distance_matrix(dm: DistanceMatrix, labels: dict[str, str], n_clusters: int,
@@ -72,12 +72,11 @@ def evaluate_distance_matrix(dm: DistanceMatrix, labels: dict[str, str], n_clust
     )
 
 
-def run_pipeline(spec: CorpusSpec, k: int, metric: str, n_clusters: int | None = None,
-                 threads: int = 1) -> EvalReport:
+def run_pipeline(spec: CorpusSpec, k: int, metric: str, n_clusters: int | None = None) -> EvalReport:
     """Generate the corpus and evaluate one (k, metric) configuration."""
     corpus = generate_corpus(spec)
     if n_clusters is None:
         n_clusters = len(spec.categories)
     labels = {item.id: item.category for item in corpus}
-    dm = corpus_distance_matrix(corpus, k, metric, threads=threads)
+    dm = corpus_distance_matrix(corpus, k, metric)
     return evaluate_distance_matrix(dm, labels, n_clusters, metric=metric, k=k)

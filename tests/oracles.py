@@ -4,8 +4,11 @@ These deliberately avoid the shortcuts the production code relies on: the
 fingerprint oracle walks an explicit hyperedge structure with no flat-array
 indexing or partner array, and the clustering oracle recomputes every
 cluster distance from the original matrix at every step.  The validation
-oracle checks crossing by crossing and link by link in Python loops.
+oracle checks crossing by crossing and link by link in Python loops, and
+the pair-counting oracle enumerates every unordered pair of items.
 """
+
+from itertools import combinations
 
 from statistics import fmean
 
@@ -145,6 +148,67 @@ def naive_upgma_merges(dm):
     return merges
 
 
+def loop_upgma_merges(dm):
+    """Merge sequence updating the upper triangle one entry at a time.
+
+    The same size-weighted arithmetic as ``upgma_merges``, written as a
+    loop over the other clusters, so merges and distances must agree bit
+    for bit.  Only the upper triangle of ``dm`` is read.
+    """
+    n = len(dm.ids)
+    d = dm.values.astype(np.float64)
+    d[np.tril_indices(n)] = np.inf
+    sizes = np.ones(n)
+    merges = []
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(d)), n)
+        merges.append((i, j, float(d[i, j])))
+        wi, wj = sizes[i], sizes[j]
+        for other in range(n):
+            if other == i or other == j or sizes[other] == 0:
+                continue
+            a, b = (other, i) if other < i else (i, other)
+            aj, bj = (other, j) if other < j else (j, other)
+            d[a, b] = (wi * d[a, b] + wj * d[aj, bj]) / (wi + wj)
+        sizes[i] = wi + wj
+        sizes[j] = 0
+        d[j, :] = np.inf
+        d[:, j] = np.inf
+    return merges
+
+
+def naive_pair_scores(predicted, truth):
+    """``(tp, tn, fp, fn)`` by enumerating every unordered pair of ids."""
+    pred, true = predicted.assignment, truth.assignment
+    tp = tn = fp = fn = 0
+    for a, b in combinations(sorted(pred), 2):
+        same_pred = pred[a] == pred[b]
+        same_true = true[a] == true[b]
+        if same_pred and same_true:
+            tp += 1
+        elif same_pred:
+            fp += 1
+        elif same_true:
+            fn += 1
+        else:
+            tn += 1
+    return tp, tn, fp, fn
+
+
+def naive_rank(dm, query):
+    """All other ids sorted by (distance from the query, id)."""
+    row = dm.values[dm.ids.index(query)]
+    return sorted((item for item in dm.ids if item != query), key=lambda item: (row[dm.ids.index(item)], item))
+
+
+def left_sum(values):
+    """Float sum added strictly left to right (``sum`` is compensated from Python 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def naive_average_precision(ranked, relevant):
     """AP by literal prefix enumeration."""
     precisions = []
@@ -152,7 +216,7 @@ def naive_average_precision(ranked, relevant):
         if ranked[position - 1] in relevant:
             prefix = ranked[:position]
             precisions.append(sum(1 for x in prefix if x in relevant) / position)
-    return sum(precisions) / len(relevant)
+    return left_sum(precisions) / len(relevant)
 
 
 def naive_interpolated_precision(ranked, relevant, levels):
@@ -167,8 +231,6 @@ def naive_interpolated_precision(ranked, relevant, levels):
 
 def naive_curves(dm, labels, levels):
     """Averaged interpolated precision/F and MAP, all by direct enumeration."""
-    from weftprint.evaluation import rank_for_query
-
     by_category = {}
     for item, category in labels.items():
         by_category.setdefault(category, set()).add(item)
@@ -177,11 +239,11 @@ def naive_curves(dm, labels, levels):
         relevant = by_category[labels[query]] - {query}
         if not relevant:
             continue
-        ranked = rank_for_query(dm, query)
+        ranked = naive_rank(dm, query)
         interp = naive_interpolated_precision(ranked, relevant, levels)
         precision_rows.append(interp)
         f_rows.append([2 * p * r / (p + r) if p + r > 0 else 0.0 for p, r in zip(interp, levels)])
         aps.append(naive_average_precision(ranked, relevant))
     n = len(precision_rows)
-    avg = lambda rows: [sum(col) / n for col in zip(*rows)]
-    return avg(precision_rows), avg(f_rows), sum(aps) / n
+    avg = lambda rows: [left_sum(col) / n for col in zip(*rows)]
+    return avg(precision_rows), avg(f_rows), left_sum(aps) / n

@@ -114,43 +114,9 @@ class TestDistmatrix:
                      "--k", "2", "--out", str(tmp_path / "d.csv")])
         assert code == 1
 
-    def test_threads_flag_does_not_change_bytes(self, tiny_corpus, tmp_path):
-        texts = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv"), (0, "c.csv")):
-            out = tmp_path / name
-            assert main(["--threads", str(threads), "distmatrix", "--manifest", str(tiny_corpus),
-                         "--metric", "jaccard", "--k", "3", "--out", str(out)]) == 0
-            texts.append(read(out))
-        assert len(set(texts)) == 1
-
-    def test_threads_env_fallback(self, tiny_corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("WEFTPRINT_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert main(["distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
-                     "--k", "2", "--out", str(out)]) == 0
-
-
-class TestThreadCounts:
-    def distmatrix(self, manifest, tmp_path, *flags):
-        return main([*flags, "distmatrix", "--manifest", str(manifest), "--metric", "jaccard",
-                     "--k", "2", "--out", str(tmp_path / "d.csv")])
-
-    @pytest.mark.parametrize("value", ["four", "-2"])
-    def test_bad_env_value_is_usage_error(self, tiny_corpus, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("WEFTPRINT_THREADS", value)
-        assert self.distmatrix(tiny_corpus, tmp_path) == 1
-        err = capsys.readouterr().err
-        assert "WEFTPRINT_THREADS" in err and repr(value) in err
-        assert not (tmp_path / "d.csv").exists()
-
-    def test_negative_flag_is_usage_error(self, tiny_corpus, tmp_path, capsys):
-        assert self.distmatrix(tiny_corpus, tmp_path, "--threads", "-2") == 1
-        err = capsys.readouterr().err
-        assert "--threads" in err and "'-2'" in err
-
-    def test_flag_overrides_bad_env_value(self, tiny_corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("WEFTPRINT_THREADS", "four")
-        assert self.distmatrix(tiny_corpus, tmp_path, "--threads", "1") == 0
+    def test_threads_flag_is_gone(self, tiny_corpus, tmp_path):
+        assert main(["--threads", "2", "distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
+                     "--k", "2", "--out", str(tmp_path / "d.csv")]) == 1
 
 
 @pytest.fixture()
@@ -202,6 +168,18 @@ class TestRetrieve:
         assert len(lines) == 12
         assert json.loads(read(report_path))["MAP"] == 1.0
         assert "MAP=1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["cluster", "retrieve"])
+def test_bad_distance_cell_is_data_error(tiny_corpus, tmp_path, capsys, command, cell):
+    dist = tmp_path / "bad.csv"
+    dist.write_text(f"id,a,b\na,0,{cell}\nb,{cell},0\n")
+    outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
+               "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
+    assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2
+    assert "row 1 ('a')" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 class TestBench:

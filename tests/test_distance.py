@@ -353,3 +353,8 @@ class TestDistanceCsv:
     def test_malformed_csv_rejected(self):
         with pytest.raises(ValueError, match="header"):
             csv_to_distance_matrix("a,b\n0,1\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match=r"row 2 \('b'\): distances must be finite and >= 0"):
+            csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weftprint.distance import DistanceMatrix
 from weftprint.evaluation import (
@@ -16,9 +20,12 @@ from weftprint.evaluation import (
 )
 
 from oracles import (
+    loop_upgma_merges,
     naive_average_precision,
     naive_curves,
     naive_interpolated_precision,
+    naive_pair_scores,
+    naive_rank,
     naive_upgma_merges,
 )
 
@@ -170,6 +177,14 @@ class TestAveragePrecision:
                 naive_average_precision(ranked, relevant)
             )
 
+    def test_long_rankings_sum_left_to_right(self):
+        # Enough relevant items for a pairwise or compensated sum to differ.
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            ranked = [f"d{i}" for i in range(300)]
+            relevant = {f"d{i}" for i in rng.choice(300, size=int(rng.integers(20, 300)), replace=False)}
+            assert average_precision(ranked, relevant) == naive_average_precision(ranked, relevant)
+
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError):
             average_precision(["a"], set())
@@ -293,7 +308,80 @@ class TestInterpolatedCurves:
         rng = np.random.default_rng(20)
         dm = random_matrix(rng, 9)
         labels = {g: f"c{i % 3}" for i, g in enumerate(dm.ids)}
-        assert interpolated_curves(dm, labels).map == pytest.approx(map_score(dm, labels))
+        assert interpolated_curves(dm, labels).map == map_score(dm, labels)
+
+
+@st.composite
+def labeled_matrices(draw):
+    """Small matrices: tie-heavy integers, random floats, or floats with unrelated triangles.
+
+    Ids are a shuffled permutation, so index order and id order differ.
+    """
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["ties", "float", "asymmetric"]))
+    if kind == "ties":
+        values = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), dtype=float)
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n * n)
+    values = values.reshape(n, n)
+    if kind != "asymmetric":
+        values = np.triu(values, 1) + np.triu(values, 1).T
+    np.fill_diagonal(values, 0.0)
+    ids = draw(st.permutations([f"g{i}" for i in range(n)]))
+    labels = {item: f"c{draw(st.integers(0, 2))}" for item in ids}
+    return DistanceMatrix(tuple(ids), values), labels
+
+
+def upper_mirrored(dm):
+    upper = np.triu(dm.values, 1)
+    return DistanceMatrix(dm.ids, upper + upper.T)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_matrices())
+    def test_upgma_merges(self, case):
+        dm, _ = case
+        ours = upgma_merges(dm)
+        assert ours == loop_upgma_merges(dm)
+        assert ours == upgma_merges(upper_mirrored(dm))
+        upper = dm.values[np.triu_indices(len(dm.ids), 1)]
+        if len(set(upper.tolist())) < len(upper):
+            # Equal means computed along different paths can round apart, so
+            # the from-scratch oracle may break a tie differently; the loop
+            # oracle above pins the tie-heavy cases bit for bit.
+            return
+        reference = naive_upgma_merges(upper_mirrored(dm))
+        assert [(i, j) for i, j, _ in ours] == [(i, j) for i, j, _ in reference]
+        for (_, _, d_ours), (_, _, d_ref) in zip(ours, reference):
+            assert d_ours == pytest.approx(d_ref, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_matrices(), st.data())
+    def test_pair_scores(self, case, data):
+        dm, labels = case
+        predicted = upgma_cluster(dm, data.draw(st.integers(1, len(dm.ids))))
+        truth = Partition.from_labels(labels)
+        c = pair_scores(predicted, truth).confusion
+        assert (c.tp, c.tn, c.fp, c.fn) == naive_pair_scores(predicted, truth)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_matrices())
+    def test_ranking_and_curves(self, case):
+        dm, labels = case
+        for item in dm.ids:
+            assert rank_for_query(dm, item) == naive_rank(dm, item)
+        if all(list(labels.values()).count(c) == 1 for c in labels.values()):
+            with pytest.warns(UserWarning), pytest.raises(ValueError, match="no query"):
+                interpolated_curves(dm, labels)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            curves = interpolated_curves(dm, labels)
+            assert curves.map == map_score(dm, labels)
+        # Same operations in the same order as the enumeration: equal bits.
+        ref_p, ref_f, ref_map = naive_curves(dm, labels, curves.recall_levels.tolist())
+        assert (curves.avg_precision.tolist(), curves.avg_f_measure.tolist(), curves.map) == (ref_p, ref_f, ref_map)
 
 
 class TestReports:

@@ -220,6 +220,14 @@ class TestFingerprintFiles:
         with pytest.raises(ValueError, match=r"line 2: count is not an integer: 'x'"):
             text_to_fingerprint("A,A;A,A 1\nA,A;A,T x\n")
 
+    @pytest.mark.parametrize("count", ["1_0", "\u0663", "2.0"])
+    def test_text_count_takes_ascii_digits_only(self, count):
+        with pytest.raises(ValueError, match=f"line 2: count is not an integer: {count!r}"):
+            text_to_fingerprint(f"A,A;A,A 1\nA,A;A,T {count}\n")
+
+    def test_text_accepts_a_plus_sign(self):
+        assert text_to_fingerprint("A,A;A,A +3\n") == {"A,A;A,A": 3}
+
     def test_text_rejects_mixed_depths(self):
         with pytest.raises(ValueError, match="depth"):
             text_to_fingerprint("A,A;A,A 1\nAA,AA;AA,AA 1\n")

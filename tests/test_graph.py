@@ -75,6 +75,17 @@ class TestParse:
         assert err.value.line == 4
         assert err.value.column == 3
 
+    @pytest.mark.parametrize("token", ["0_1", "\u0663", "1.0"])
+    def test_only_ascii_digit_integers(self, token):
+        text = ONE_CROSSING.replace("2 -1 0 3", f"2 {token} 0 3")
+        with pytest.raises(GraphParseError, match=f"next index is not an integer: {token!r}") as err:
+            parse_graph(text)
+        assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_signed_integers_are_accepted(self):
+        text = ONE_CROSSING.replace("2 -1 0 3", "+2 -1 -0 +3")
+        assert parse_graph(text) == parse_graph(ONE_CROSSING)
+
     def test_next_index_out_of_range(self):
         text = ONE_CROSSING.replace("0 -1 1 1", "0 9 1 1")
         with pytest.raises(GraphParseError, match="out of range"):

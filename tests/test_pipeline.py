@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from weftprint.corpus import CategorySpec, CorpusSpec
@@ -41,11 +39,3 @@ def test_separable_spec_scores_perfectly():
 def test_tfidf_metric_wires_corpus_stats_through():
     report = run_pipeline(small_spec(), k=3, metric="tfidf", n_clusters=3)
     assert 0.0 <= report.map <= 1.0
-
-
-def test_threads_do_not_change_the_report():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no single-member-category warnings expected
-        a = run_pipeline(small_spec(), k=2, metric="cosine", threads=1)
-        b = run_pipeline(small_spec(), k=2, metric="cosine", threads=4)
-    assert a == b
