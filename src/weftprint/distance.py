@@ -26,6 +26,7 @@ two all-zero vectors 0.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -340,12 +341,56 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     return buf.getvalue()
 
 
-def csv_to_distance_matrix(text: str) -> DistanceMatrix:
+# A cell is an ASCII decimal number, or a nan/inf spelling that the range
+# check below then rejects.  float() alone would also take '1_0' and '٣'.
+_CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))")
+_NOT_NUMERIC = str.maketrans("", "", "0123456789.eE+-,")
+
+
+def _csv_canonical(text: str):
+    """``(ids, values)`` of plainly spelled distance CSV text, else ``None``.
+
+    Plain means no quote, CR or NUL, no line at the csv field limit, row
+    ids equal to the header's, and non-empty rows of cells made of digits,
+    signs, points and exponents.  ``None`` only means "not plain": the
+    caller then runs the csv reader, which accepts or rejects the text.
+    """
+    import csv
+
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    header = lines[0].split(",")
+    n = len(header) - 1
+    if header[0] != "id" or n < 1 or len(lines) != n + 1:
+        return None
+    if len(max(lines, key=len)) >= csv.field_size_limit():
+        return None
+    rows = [line.partition(",") for line in lines[1:]]
+    bodies = [body for _, _, body in rows]
+    if [row_id for row_id, _, _ in rows] != header[1:] or "" in bodies:
+        return None
+    if ",".join(bodies).translate(_NOT_NUMERIC):
+        return None
+    try:
+        values = np.loadtxt(bodies, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (tuple(header[1:]), values) if values.shape == (n, n) else None
+
+
+def _csv_rows(text: str):
+    """``(ids, values)`` of any distance CSV text: the reference reader.
+
+    It is the one that reports errors, with the row, id and column.
+    """
     import csv
     import io
 
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:  # a field over the size limit, or a bare CR inside one
+        raise ValueError(f"distance CSV: {exc}") from None
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError("distance CSV must start with an 'id,...' header row")
     ids = tuple(rows[0][1:])
@@ -356,7 +401,17 @@ def csv_to_distance_matrix(text: str) -> DistanceMatrix:
     for i, row in enumerate(rows[1:]):
         if len(row) != n + 1 or row[0] != ids[i]:
             raise ValueError(f"distance CSV row {i + 1} does not match header ids")
+        for j, cell in enumerate(row[1:]):
+            if not _CELL.fullmatch(cell):
+                raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): {cell!r} is not a decimal number "
+                                 f"in column {ids[j]!r}")
         values[i] = [float(x) for x in row[1:]]
+    return ids, values
+
+
+def csv_to_distance_matrix(text: str) -> DistanceMatrix:
+    """Parse distance CSV text; plain text takes one ``np.loadtxt`` call."""
+    ids, values = _csv_canonical(text) or _csv_rows(text)
     bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
     if len(bad):
         i, j = bad[0]

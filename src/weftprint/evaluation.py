@@ -79,24 +79,43 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
     keeps the smaller one.  Mean pairwise distances are maintained
     incrementally as size-weighted averages, equal to the from-scratch
     mean up to rounding.  Ties between equal stored means resolve to the
-    smallest (rep_i, rep_j) pair.  Only the upper triangle of ``dm`` is read.
+    smallest (rep_i, rep_j) pair.  Only the upper triangle of ``dm`` is
+    read, and it must be finite.  Each row's minimum is cached, so a merge
+    costs O(n) plus a rescan of the rows whose minimum it moved.
     """
     n = len(dm.ids)
     d = np.array(dm.values, dtype=np.float64)
     lower = np.tril_indices(n, -1)
     d[lower] = d.T[lower]  # mirror the upper triangle
+    if not np.isfinite(d[lower]).all():
+        raise ValueError("UPGMA needs finite distances")
     np.fill_diagonal(d, np.inf)
     sizes = np.ones(n)
+    # Each row's minimum and the first column holding it; a merged-away
+    # row keeps (inf, -1), which no later update touches.
+    low = d.min(axis=1, initial=np.inf)
+    arg = d.argmin(axis=1) if n else np.empty(0, dtype=np.intp)
     merges = []
     for _ in range(n - 1):
-        # Row-major first minimum of a symmetric matrix lies above the
-        # diagonal: the smallest distance, then the smallest (i, j).
-        i, j = divmod(int(np.argmin(d)), n)
+        # The first row holding the smallest minimum, at its first column:
+        # the row-major first minimum, so the smallest (i, j) among ties.
+        i = int(np.argmin(low))
+        j = int(arg[i])
         merges.append((i, j, float(d[i, j])))
         wi, wj = sizes[i], sizes[j]
         d[i] = d[:, i] = (wi * d[i] + wj * d[j]) / (wi + wj)
         d[i, i] = d[j] = d[:, j] = np.inf
         sizes[i] = wi + wj
+        # Rows whose minimum sat in column i or j must rescan (row i among
+        # them, as arg[i] == j); every other row only meets the new column i.
+        stale = np.flatnonzero((arg == i) | (arg == j))
+        col = d[i]
+        fold = (col < low) | ((col == low) & (i < arg))
+        low[fold] = col[fold]
+        arg[fold] = i
+        arg[stale] = d[stale].argmin(axis=1)
+        low[stale] = d[stale, arg[stale]]
+        low[j], arg[j] = np.inf, -1
     return merges
 
 

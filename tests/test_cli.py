@@ -170,11 +170,11 @@ class TestRetrieve:
         assert "MAP=1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-1", "1_0", "\u0663"])
 @pytest.mark.parametrize("command", ["cluster", "retrieve"])
 def test_bad_distance_cell_is_data_error(tiny_corpus, tmp_path, capsys, command, cell):
     dist = tmp_path / "bad.csv"
-    dist.write_text(f"id,a,b\na,0,{cell}\nb,{cell},0\n")
+    dist.write_text(f"id,a,b\na,0,{cell}\nb,{cell},0\n", encoding="utf-8")
     outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
                "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
     assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2

@@ -1,11 +1,14 @@
 import math
+import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weftprint import distance
 from weftprint.distance import (
     METRICS,
     CorpusStats,
@@ -358,3 +361,97 @@ class TestDistanceCsv:
     def test_non_finite_or_negative_cell_rejected(self, cell):
         with pytest.raises(ValueError, match=r"row 2 \('b'\): distances must be finite and >= 0"):
             csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", " 1", "1 ", "", "0x1", "1e", "1.2.3", "++1", "1e5.0"])
+    def test_cells_take_ascii_decimals_only(self, cell):
+        with pytest.raises(ValueError, match=r"row 2 \('b'\): .* is not a decimal number in column 'a'"):
+            csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
+
+    @pytest.mark.parametrize("text", ["id,a\rb\na\rb,0\n", f"id,{'x' * 200_000}\n{'x' * 200_000},0\n"])
+    def test_csv_module_errors_are_value_errors(self, text):
+        with pytest.raises(ValueError, match="distance CSV: "):
+            csv_to_distance_matrix(text)
+
+    def test_decimal_spellings_load(self):
+        dm = csv_to_distance_matrix("id,a,b,c\na,0,1e-05,0.5\nb,+1,-0,12\nc,.5,5.,1E+2\n")
+        assert dm.values.tolist() == [[0, 1e-05, 0.5], [1, 0, 12], [0.5, 5, 100]]
+
+    def test_written_text_takes_the_fast_path(self):
+        rng = np.random.default_rng(9)
+        fps = [random_fingerprint(rng) for _ in range(7)]
+        for metric in ("jaccard", "hbool"):
+            text = distance_matrix_to_csv(distance_matrix(fps, metric))
+            ids, values = distance._csv_canonical(text)
+            with mock.patch.object(distance, "_csv_canonical", return_value=None):
+                reference = csv_to_distance_matrix(text)
+            assert (ids, values.tobytes()) == (reference.ids, reference.values.tobytes())
+
+
+PLAIN_CELLS = ["0", "1", "2", "0.5", "0.333333333333", "1e-05", "12"]
+ODD_CELLS = ["+1", "-0", "-1", ".5", "5.", "1E+2", "1_0", "\u0663", "nan", "inf", " 1", "1 ", "", "1e", "--1", "0x1"]
+ODD_IDS = ["", "id", "x,y", 'q"t', "a\rb", "\u0663", " a"]
+EDITS = ["odd_cell", "drop_cell", "add_cell", "add_column", "row_id", "drop_row", "copy_row"]
+
+
+def _field(text: str, quoting: str, is_id: bool) -> str:
+    if quoting == "raw":
+        return text
+    if quoting == "all" or (quoting == "ids" and is_id) or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def distance_csv_texts(draw):
+    """Distance CSV text, plainly written and then mutated in ways the csv reader tolerates or not."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from([f"g{i}" for i in range(6)] + ODD_IDS), min_size=n, max_size=n))
+    rows = [["id", *ids]] + [[row_id, *draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=n, max_size=n))]
+                             for row_id in ids]
+    for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+        row = rows[draw(st.integers(1, len(rows) - 1))] if len(rows) > 1 else rows[0]
+        if edit == "odd_cell" and len(row) > 1:
+            row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif edit == "drop_cell" and row:
+            row.pop()
+        elif edit == "add_cell":
+            row.append(draw(st.sampled_from(PLAIN_CELLS)))
+        elif edit == "add_column":
+            for other in rows[1:]:
+                other.append(draw(st.sampled_from(PLAIN_CELLS)))
+        elif edit == "row_id":
+            row[0] = draw(st.sampled_from(["g9", "id", ""] + ids))
+        elif edit == "drop_row" and len(rows) > 1:
+            rows.remove(row)
+        elif edit == "copy_row":
+            rows.append(list(row))
+    quoting = draw(st.sampled_from(["minimal", "ids", "all", "raw"]))
+    lines = [",".join(_field(f, quoting, (r == 0) != (k == 0)) for k, f in enumerate(row))
+             for r, row in enumerate(rows)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _outcome(text: str):
+    try:
+        dm = csv_to_distance_matrix(text)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return dm.ids, dm.values.tobytes()
+
+
+class TestCsvFastPath:
+    @settings(max_examples=400, deadline=None)
+    @given(distance_csv_texts())
+    @example('id,"a"\n"a",0\n')
+    @example("id,a\rb\na\rb,0\n")
+    @example("id,a\na,\n")
+    @example("id,a\na,0,1\n")
+    def test_fast_path_matches_reference_reader(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fast path may not warn either
+            fast = _outcome(text)
+        with mock.patch.object(distance, "_csv_canonical", return_value=None):
+            assert fast == _outcome(text)

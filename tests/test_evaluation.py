@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -382,6 +383,59 @@ class TestAgainstOracles:
         # Same operations in the same order as the enumeration: equal bits.
         ref_p, ref_f, ref_map = naive_curves(dm, labels, curves.recall_levels.tolist())
         assert (curves.avg_precision.tolist(), curves.avg_f_measure.tolist(), curves.map) == (ref_p, ref_f, ref_map)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Symmetric matrices of the integers 0-2, up to 40 items: most minima tie."""
+    n = draw(st.integers(1, 40))
+    upper = np.triu(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, (n, n)), 1)
+    return DistanceMatrix(tuple(f"g{i}" for i in range(n)), (upper + upper.T).astype(float))
+
+
+class TestCachedRowMinima:
+    """``upgma_merges`` against the full-scan loop oracle where the cache is hard to keep."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_matrices())
+    def test_tie_heavy_matrices(self, dm):
+        assert upgma_merges(dm) == loop_upgma_merges(dm)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("value", [0.0, 1.5])
+    def test_constant_matrices(self, n, value):
+        values = np.full((n, n), value)
+        np.fill_diagonal(values, 0.0)
+        dm = DistanceMatrix(tuple(f"g{i}" for i in range(n)), values)
+        merges = upgma_merges(dm)
+        assert merges == loop_upgma_merges(dm)
+        # Every mean stays the constant, so item 0 absorbs 1, 2, ... in turn.
+        assert merges == [(0, j, value) for j in range(1, n)]
+
+    def test_every_small_matrix(self):
+        assert upgma_merges(matrix("a", [[0]])) == []
+        for upper in itertools.product(range(3), repeat=3):
+            for n in (2, 3):
+                values = np.zeros((n, n))
+                values[np.triu_indices(n, 1)] = upper[: n * (n - 1) // 2]
+                dm = DistanceMatrix(tuple("abc"[:n]), values + values.T)
+                assert upgma_merges(dm) == loop_upgma_merges(dm)
+
+    def test_rounded_mean_ties_an_earlier_column(self):
+        # After (0, 3) and (1, 4) merge, row 0 stores 0.44999999999999996 for
+        # both cluster 1 (the new column) and cluster 2 (its cached minimum):
+        # the tie goes to the smaller column, 1.
+        dm = matrix("abcde", [[0, 0.4, 0.7, 0.2, 0.6], [0.4, 0, 0.7, 0.5, 0.4], [0.7, 0.7, 0, 0.2, 0.7],
+                              [0.2, 0.5, 0.2, 0, 0.3], [0.6, 0.4, 0.7, 0.3, 0]])
+        merges = upgma_merges(dm)
+        assert merges == loop_upgma_merges(dm)
+        assert [(i, j) for i, j, _ in merges] == [(0, 3), (1, 4), (0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_distance_rejected(self, bad):
+        dm = matrix("abc", [[0, 1, bad], [1, 0, 2], [bad, 2, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            upgma_merges(dm)
 
 
 class TestReports:
