@@ -227,7 +227,10 @@ def read_manifest(path) -> list[tuple[str, Path, str]]:
     """Rows as (id, absolute path, category)."""
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # a field over the size limit
+            raise ValueError(f"{path}: manifest: {exc}") from None
     rows = [r for r in rows if r]
     if not rows or rows[0] != ["id", "path", "category"]:
         raise ValueError(f"{path}: manifest must start with header 'id,path,category'")

@@ -329,7 +329,51 @@ def format_distance(x: float, metric: str) -> str:
     return format(x, ".12g")
 
 
+def _check_distances(ids, values: np.ndarray) -> None:
+    """Raise ``ValueError`` on the first non-finite or negative cell, by row, id and column."""
+    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
+                         f"got {values[i, j]} in column {ids[j]!r}")
+
+
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
+    """Distance CSV text; refuses the cells that ``csv_to_distance_matrix`` refuses."""
+    _check_distances(dm.ids, dm.values)
+    return _csv_joined(dm) or _csv_written(dm)
+
+
+def _csv_joined(dm: DistanceMatrix):
+    """The text of ``_csv_written`` by one join per row, else ``None``.
+
+    ``None`` when ``csv.writer`` would quote an id, or when an integer
+    metric has a cell at or past 2**63, outside int64.  Rows are converted
+    one at a time, so no n*n list of Python objects is held.
+    """
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["id", *dm.ids])
+    header = buf.getvalue()
+    if header != ",".join(["id", *dm.ids]) + "\n":
+        return None
+    integer = dm.metric in INTEGER_METRICS
+    if integer and dm.values.size and dm.values.max() >= 2.0**63:
+        return None
+    lines = [header]
+    for row_id, row in zip(dm.ids, dm.values):
+        if integer:  # np.rint rounds half to even, as round() does
+            cells = map(str, np.rint(row).astype(np.int64).tolist())
+        else:
+            cells = map("{:.12g}".format, row.tolist())
+        lines.append(row_id + "," + ",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def _csv_written(dm: DistanceMatrix) -> str:
+    """Distance CSV text through ``csv.writer`` and ``format_distance``: the reference writer."""
     import csv
     import io
 
@@ -412,11 +456,7 @@ def _csv_rows(text: str):
 def csv_to_distance_matrix(text: str) -> DistanceMatrix:
     """Parse distance CSV text; plain text takes one ``np.loadtxt`` call."""
     ids, values = _csv_canonical(text) or _csv_rows(text)
-    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
-                         f"got {values[i, j]} in column {ids[j]!r}")
+    _check_distances(ids, values)
     return DistanceMatrix(ids, values)
 
 

@@ -182,6 +182,18 @@ def test_bad_distance_cell_is_data_error(tiny_corpus, tmp_path, capsys, command,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("row", [f"a,g.tg,{'x' * 140_000}", "a,g.tg,x\ry"], ids=["oversized_field", "bare_cr"])
+def test_bad_truth_manifest_is_data_error(tiny_pipeline, tmp_path, capsys, row):
+    _, dist = tiny_pipeline
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(f"id,path,category\n{row}\n".encode())
+    report = tmp_path / "r.json"
+    assert main(["cluster", "--dist", str(dist), "--clusters", "2", "--truth", str(truth),
+                 "--report", str(report)]) == 2
+    assert f"error: {truth}: manifest" in capsys.readouterr().err
+    assert not report.exists()
+
+
 class TestBench:
     def test_rows_and_monotone_endpoints(self, tmp_path):
         spec = tmp_path / "spec.ini"

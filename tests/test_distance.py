@@ -359,8 +359,12 @@ class TestDistanceCsv:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
     def test_non_finite_or_negative_cell_rejected(self, cell):
-        with pytest.raises(ValueError, match=r"row 2 \('b'\): distances must be finite and >= 0"):
+        message = r"row 2 \('b'\): distances must be finite and >= 0, got .* in column 'a'"
+        with pytest.raises(ValueError, match=message):
             csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
+        for metric in ("jaccard", "hbool"):  # the writer refuses what the reader refuses
+            with pytest.raises(ValueError, match=message):
+                distance_matrix_to_csv(DistanceMatrix(("a", "b"), [[0, 1], [float(cell), 0]], metric))
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0663", " 1", "1 ", "", "0x1", "1e", "1.2.3", "++1", "1e5.0"])
     def test_cells_take_ascii_decimals_only(self, cell):
@@ -376,15 +380,17 @@ class TestDistanceCsv:
         dm = csv_to_distance_matrix("id,a,b,c\na,0,1e-05,0.5\nb,+1,-0,12\nc,.5,5.,1E+2\n")
         assert dm.values.tolist() == [[0, 1e-05, 0.5], [1, 0, 12], [0.5, 5, 100]]
 
-    def test_written_text_takes_the_fast_path(self):
+    def test_written_text_takes_the_fast_path(self, desk_fingerprints):
         rng = np.random.default_rng(9)
-        fps = [random_fingerprint(rng) for _ in range(7)]
-        for metric in ("jaccard", "hbool"):
-            text = distance_matrix_to_csv(distance_matrix(fps, metric))
-            ids, values = distance._csv_canonical(text)
-            with mock.patch.object(distance, "_csv_canonical", return_value=None):
-                reference = csv_to_distance_matrix(text)
-            assert (ids, values.tobytes()) == (reference.ids, reference.values.tobytes())
+        for ids, fps in [(None, [random_fingerprint(rng) for _ in range(7)]), desk_fingerprints[4]]:
+            stats = corpus_stats(fps)
+            for metric in METRICS:
+                text = distance_matrix_to_csv(distance_matrix(fps, metric, ids=ids, stats=stats))
+                fast_ids, values = distance._csv_canonical(text)
+                with mock.patch.object(distance, "_csv_canonical", return_value=None):
+                    reference = csv_to_distance_matrix(text)
+                assert (fast_ids, values.tobytes()) == (reference.ids, reference.values.tobytes())
+                assert distance_matrix_to_csv(reference) == text  # write(read(write(dm))) == write(dm)
 
 
 PLAIN_CELLS = ["0", "1", "2", "0.5", "0.333333333333", "1e-05", "12"]
@@ -455,3 +461,42 @@ class TestCsvFastPath:
             fast = _outcome(text)
         with mock.patch.object(distance, "_csv_canonical", return_value=None):
             assert fast == _outcome(text)
+
+
+WRITER_IDS = ["g0", "g1", "g2", "id", "", " a", "a b", "x,y", 'q"t', "a\rb", "a\nb", "\u0663", "\u00e9t\u00e9"]
+WRITER_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3, 0.5, 1.5, 2.5, 1e16,
+                2.0**52 - 0.5, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**63 - 1024, 2.0**63, 2.0**64, 1e300,
+                math.nan, math.inf, -math.inf, -1.0, -5e-324]
+
+
+@st.composite
+def distance_matrices(draw):
+    """Matrices of any metric with odd ids, rounding cases, huge cells and the cells the reader refuses."""
+    n = draw(st.integers(0, 4))
+    ids = draw(st.lists(st.sampled_from(WRITER_IDS), min_size=n, max_size=n, unique=True))
+    cell = st.one_of(st.sampled_from(WRITER_CELLS), st.integers(0, 40).map(lambda k: k / 2),
+                     st.floats(0, 2.0**64), st.floats(allow_nan=False, allow_infinity=False))
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    metric = draw(st.sampled_from(METRICS + ("",)))
+    return DistanceMatrix(tuple(ids), np.array(cells, dtype=np.float64).reshape(n, n), metric)
+
+
+def _written(dm: DistanceMatrix):
+    try:
+        return distance_matrix_to_csv(dm)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+class TestCsvFastWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(distance_matrices())
+    @example(DistanceMatrix((), np.zeros((0, 0)), "hbool"))
+    @example(DistanceMatrix(("x,y", "b"), [[0, 1], [1, 0]], "jaccard"))
+    @example(DistanceMatrix(("a", "b"), [[0.5, 1.5], [2.5, 2.0**63]], "hbool"))
+    def test_fast_writer_matches_reference_writer(self, dm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fast path may not warn either
+            fast = _written(dm)
+        with mock.patch.object(distance, "_csv_joined", return_value=None):
+            assert fast == _written(dm)
