@@ -228,8 +228,8 @@ def read_manifest(path) -> list[tuple[str, Path, str]]:
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            rows = list(csv.reader(fh))
-        except csv.Error as exc:  # a field over the size limit
+            rows = list(csv.reader(fh, strict=True))
+        except csv.Error as exc:  # malformed quoting or a field over the size limit
             raise ValueError(f"{path}: manifest: {exc}") from None
     rows = [r for r in rows if r]
     if not rows or rows[0] != ["id", "path", "category"]:

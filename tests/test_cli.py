@@ -182,7 +182,11 @@ def test_bad_distance_cell_is_data_error(tiny_corpus, tmp_path, capsys, command,
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("row", [f"a,g.tg,{'x' * 140_000}", "a,g.tg,x\ry"], ids=["oversized_field", "bare_cr"])
+@pytest.mark.parametrize(
+    "row",
+    [f"a,g.tg,{'x' * 140_000}", "a,g.tg,x\ry", 'a,g.tg,"x', 'a,g.tg,"x"y'],
+    ids=["oversized_field", "bare_cr", "unclosed_quote", "text_after_quote"],
+)
 def test_bad_truth_manifest_is_data_error(tiny_pipeline, tmp_path, capsys, row):
     _, dist = tiny_pipeline
     truth = tmp_path / "truth.csv"

@@ -16,7 +16,7 @@ from weftprint.fingerprint import (
     parse_neighborhood,
     text_to_fingerprint,
 )
-from weftprint.graph import TERMINAL, TextileGraph, parse_graph
+from weftprint.graph import TERMINAL, TextileGraph, parse_graph, validate
 from weftprint.weaves import (
     grid_to_graph,
     plain_weave,
@@ -167,12 +167,21 @@ class TestFingerprint:
         )
         with pytest.raises(ValueError, match="two top nodes"):
             fingerprint(g, 2)
+        # the message names the first offending crossing
+        g = TextileGraph(
+            np.array([TERMINAL] * 8),
+            np.array([True, True, False, False, True, False, False, False]),
+            np.array([1, 0, 3, 2, 5, 4, 7, 6]),
+        )
+        with pytest.raises(ValueError, match="crossing 1 does not have exactly two top nodes"):
+            fingerprint(g, 2)
+        g = TextileGraph(np.array([TERMINAL] * 4), np.array([True, False, True, False]), np.array([1, 0, 3, 2]))
+        with pytest.raises(ValueError, match="not consistent within thread pairs"):
+            fingerprint(g, 2)
 
     @pytest.mark.parametrize("opp_block", [[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     def test_every_partner_layout_matches_reference(self, opp_block):
         # .tg files may pair slots (0,1),(0,2) or (0,3); grids only use (0,1)
-        from weftprint.graph import validate
-
         tops = {0, opp_block[0]}
         top = np.array([i in tops for i in range(4)] * 2)
         nxt = np.array([4, 5, 6, 7, 0, 1, 2, 3])
@@ -183,6 +192,24 @@ class TestFingerprint:
             ref = Counter(crossing_neighborhood(g, c, k) for c in range(2))
             assert fingerprint(g, k) == ref
             assert fingerprint(g, k) == naive_fingerprint(g, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 9),
+           st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+    def test_keys_and_order_match_reference_under_slot_permutations(self, w, h, k, seed, perm_seed):
+        # Key order is output: the distance kernel sums norms and dots in it.
+        base = grid_to_graph(random_weave(0.5, w, h, seed))
+        rng = np.random.default_rng(perm_seed)
+        n = base.crossing_count
+        new_index = (4 * np.arange(n)[:, None] + rng.permuted(np.tile(np.arange(4), (n, 1)), axis=1)).ravel()
+        nxt, top, opp = (np.empty_like(a) for a in (base.next_node, base.on_top, base.opposite))
+        nxt[new_index] = np.where(base.next_node < 0, TERMINAL, new_index[base.next_node])
+        top[new_index] = base.on_top
+        opp[new_index] = new_index[base.opposite]
+        for g in (base, TextileGraph(nxt, top, opp)):
+            assert validate(g).ok
+            ref = Counter(crossing_neighborhood(g, c, k) for c in range(n))
+            assert list(fingerprint(g, k).items()) == list(ref.items())
 
 
 class TestFingerprintFiles:
