@@ -112,8 +112,7 @@ def _build_matrix(manifest_path, metric, k):
     rows = corpus_mod.read_manifest(manifest_path)
     ids = [r[0] for r in rows]
     fps = [fingerprint(load_graph(r[1]), k) for r in rows]
-    stats = distance_mod.corpus_stats(fps) if metric == "tfidf" else None
-    return distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats)
+    return distance_mod.distance_matrix(fps, metric, ids=ids)
 
 
 def _cmd_distmatrix(args) -> int:
@@ -160,6 +159,8 @@ def _parse_k_range(text: str) -> range:
 def _cmd_bench(args) -> int:
     spec = corpus_mod.load_corpus_spec(args.spec)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
     for metric in metrics:
         if metric not in distance_mod.METRICS:
             raise ValueError(f"unknown metric {metric!r}, expected one of {distance_mod.METRICS}")
@@ -178,8 +179,7 @@ def _cmd_bench(args) -> int:
             for _ in range(args.repeats):
                 start = time.perf_counter()
                 fps = [fingerprint(g, k) for g in graphs]
-                stats = distance_mod.corpus_stats(fps) if metric == "tfidf" else None
-                distance_mod.distance_matrix(fps, metric, ids=ids, stats=stats)
+                distance_mod.distance_matrix(fps, metric, ids=ids)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -165,6 +165,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
     seed = 0
     if parser.has_section(_GLOBAL_SECTION):
+        unknown = set(parser[_GLOBAL_SECTION]) - {"seed"}
+        if unknown:
+            raise ValueError(f"section {_GLOBAL_SECTION!r}: unknown keys {sorted(unknown)}")
         seed = parser.getint(_GLOBAL_SECTION, "seed", fallback=0)
 
     categories = []

@@ -209,16 +209,15 @@ def distance_matrix(
 
     Every cell equals ``pair_distance(fingerprints[i], fingerprints[j])``
     bit for bit, for i < j.  jaccard, hfreq and cosine need non-negative
-    integer counts.  ``threads`` (>= 0) is accepted for compatibility: the
-    kernel is single-threaded, so it changes neither the result nor the
-    speed.
+    integer counts.  tfidf weighs against ``stats``, by default
+    ``corpus_stats(fingerprints)``.  ``threads`` (>= 0) is accepted for
+    compatibility: the kernel is single-threaded, so it changes neither the
+    result nor the speed.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(fingerprints) < 2:
         raise ValueError("distance matrix needs at least two fingerprints")
-    if metric == "tfidf" and stats is None:
-        raise ValueError("tfidf distance matrix needs corpus statistics")
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     if ids is None:
@@ -227,6 +226,7 @@ def distance_matrix(
         raise ValueError("ids and fingerprints must have equal length")
 
     if metric == "tfidf":
+        stats = corpus_stats(fingerprints) if stats is None else stats
         vectors = [tfidf_weights(fp, stats) for fp in fingerprints]
     else:
         vectors = list(fingerprints)
@@ -323,12 +323,6 @@ def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarra
 # metrics are written unpadded; the rest with 12 significant digits.
 
 
-def format_distance(x: float, metric: str) -> str:
-    if metric in INTEGER_METRICS:
-        return str(int(round(x)))
-    return format(x, ".12g")
-
-
 def _check_distances(ids, values: np.ndarray) -> None:
     """Raise ``ValueError`` on the first non-finite or negative cell, by row, id and column."""
     bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
@@ -339,50 +333,30 @@ def _check_distances(ids, values: np.ndarray) -> None:
 
 
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
-    """Distance CSV text; refuses the cells that ``csv_to_distance_matrix`` refuses."""
-    _check_distances(dm.ids, dm.values)
-    return _csv_joined(dm) or _csv_written(dm)
+    """Distance CSV text; refuses the cells that ``csv_to_distance_matrix`` refuses.
 
-
-def _csv_joined(dm: DistanceMatrix):
-    """The text of ``_csv_written`` by one join per row, else ``None``.
-
-    ``None`` when ``csv.writer`` would quote an id, or when an integer
-    metric has a cell at or past 2**63, outside int64.  Rows are converted
-    one at a time, so no n*n list of Python objects is held.
+    ``csv.writer`` spells each id, so Python's own rule decides its quoting.
+    Each row is one ``%`` format of one matrix row: ``%.12g`` is
+    ``format(x, ".12g")``, and ``%d`` of an ``np.rint`` float (half to even,
+    as ``round()``) is exact at any size.  Rows are converted one at a
+    time, so no n*n list of Python objects is held.
     """
     import csv
     import io
 
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["id", *dm.ids])
-    header = buf.getvalue()
-    if header != ",".join(["id", *dm.ids]) + "\n":
-        return None
-    integer = dm.metric in INTEGER_METRICS
-    if integer and dm.values.size and dm.values.max() >= 2.0**63:
-        return None
-    lines = [header]
-    for row_id, row in zip(dm.ids, dm.values):
-        if integer:  # np.rint rounds half to even, as round() does
-            cells = map(str, np.rint(row).astype(np.int64).tolist())
-        else:
-            cells = map("{:.12g}".format, row.tolist())
-        lines.append(row_id + "," + ",".join(cells) + "\n")
+    _check_distances(dm.ids, dm.values)
+    quoted = []
+    for row_id in dm.ids:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
+        quoted.append(buf.getvalue()[:-2])
+    if dm.metric in INTEGER_METRICS:
+        fmt, rows = ",%d" * len(quoted), map(np.rint, dm.values)
+    else:
+        fmt, rows = ",%.12g" * len(quoted), dm.values
+    lines = [",".join(["id", *quoted]) + "\n"]
+    lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, rows)]
     return "".join(lines)
-
-
-def _csv_written(dm: DistanceMatrix) -> str:
-    """Distance CSV text through ``csv.writer`` and ``format_distance``: the reference writer."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *dm.ids])
-    for i, row_id in enumerate(dm.ids):
-        writer.writerow([row_id, *(format_distance(x, dm.metric) for x in dm.values[i])])
-    return buf.getvalue()
 
 
 # A cell is an ASCII decimal number, or a nan/inf spelling that the range

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import CorpusItem, CorpusSpec, generate_corpus
-from .distance import DistanceMatrix, corpus_stats, distance_matrix
+from .distance import DistanceMatrix, distance_matrix
 from .evaluation import (
     ClusterScores,
     Partition,
@@ -54,8 +54,7 @@ def corpus_fingerprints(corpus: list[CorpusItem], k: int):
 
 def corpus_distance_matrix(corpus: list[CorpusItem], k: int, metric: str) -> DistanceMatrix:
     ids, fps = corpus_fingerprints(corpus, k)
-    stats = corpus_stats(fps) if metric == "tfidf" else None
-    return distance_matrix(fps, metric, ids=ids, stats=stats)
+    return distance_matrix(fps, metric, ids=ids)
 
 
 def evaluate_distance_matrix(dm: DistanceMatrix, labels: dict[str, str], n_clusters: int,

@@ -5,15 +5,20 @@ fingerprint oracle walks an explicit hyperedge structure with no flat-array
 indexing or partner array, and the clustering oracle recomputes every
 cluster distance from the original matrix at every step.  The validation
 oracle checks crossing by crossing and link by link in Python loops, and
-the pair-counting oracle enumerates every unordered pair of items.
+the pair-counting oracle enumerates every unordered pair of items.  The
+distance-CSV oracle writes row by row through ``csv.writer``, one cell
+formatted at a time.
 """
 
+import csv
+import io
 from itertools import combinations
 
 from statistics import fmean
 
 import numpy as np
 
+from weftprint.distance import INTEGER_METRICS
 from weftprint.fingerprint import PAD
 from weftprint.graph import TERMINAL
 
@@ -247,3 +252,20 @@ def naive_curves(dm, labels, levels):
     n = len(precision_rows)
     avg = lambda rows: [left_sum(col) / n for col in zip(*rows)]
     return avg(precision_rows), avg(f_rows), left_sum(aps) / n
+
+
+def format_distance(x, metric):
+    """One distance cell: integer metrics unpadded, the rest with 12 significant digits."""
+    if metric in INTEGER_METRICS:
+        return str(int(round(x)))
+    return format(x, ".12g")
+
+
+def csv_written(dm):
+    """Distance CSV text through ``csv.writer`` and ``format_distance``, cell by cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", *dm.ids])
+    for i, row_id in enumerate(dm.ids):
+        writer.writerow([row_id, *(format_distance(x, dm.metric) for x in dm.values[i])])
+    return buf.getvalue()

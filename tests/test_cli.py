@@ -74,6 +74,13 @@ class TestGenerate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_corpus_key_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[corpus]\nsed = 9\n\n[a]\nkind = plain\n")
+        assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "unknown keys ['sed']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFingerprint:
     def test_single_file_paper_count(self, tmp_path, capsys):
@@ -221,6 +228,14 @@ class TestBench:
         spec.write_text(TINY_SPEC)
         assert main(["bench", "--spec", str(spec), "--k-range", "4",
                      "--out", str(tmp_path / "b.csv")]) == 2
+
+    def test_empty_metric_list_is_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        assert main(["bench", "--spec", str(spec), "--k-range", "1..2", "--metrics", ",",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "--metrics" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
 
 class TestExitCodes:

@@ -131,6 +131,10 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match="unknown keys"):
             parse_corpus_spec("[alpha]\nkind = plain\ncolour = red\n")
 
+    def test_unknown_corpus_key_rejected(self):
+        with pytest.raises(ValueError, match=r"section 'corpus': unknown keys \['sed'\]"):
+            parse_corpus_spec("[corpus]\nsed = 9\n\n[a]\nkind = plain\n")
+
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             parse_corpus_spec("[alpha]\ncount = 2\n")

@@ -27,6 +27,7 @@ from weftprint.distance import (
 )
 
 from conftest import random_fingerprint
+from oracles import csv_written
 
 # The worked pair: one graph with a single neighborhood type of count 4,
 # one with two types of count 2 each.
@@ -212,6 +213,12 @@ class TestDistanceMatrix:
                     expected = 0.0 if i == j else pair_distance(fps[i], fps[j], metric, stats)
                     assert dm.values[i, j] == expected
 
+    def test_tfidf_computes_its_own_corpus_stats(self):
+        rng = np.random.default_rng(8)
+        fps = [random_fingerprint(rng) for _ in range(9)]
+        given_stats = distance_matrix(fps, "tfidf", stats=corpus_stats(fps))
+        assert distance_matrix(fps, "tfidf").values.tobytes() == given_stats.values.tobytes()
+
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(6)
         fps = [random_fingerprint(rng) for _ in range(8)]
@@ -231,8 +238,8 @@ class TestDistanceMatrix:
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown metric"):
             distance_matrix([R, S], "euclid")
-        with pytest.raises(ValueError, match="statistics"):
-            distance_matrix([R, S], "tfidf")
+        with pytest.raises(ValueError, match="stale corpus statistics"):
+            distance_matrix([R, S], "tfidf", stats=CorpusStats(2, Counter({"p": 1})))
         with pytest.raises(ValueError, match="at least two"):
             distance_matrix([R], "jaccard")
         with pytest.raises(ValueError, match="unique"):
@@ -481,11 +488,16 @@ def distance_matrices(draw):
     return DistanceMatrix(tuple(ids), np.array(cells, dtype=np.float64).reshape(n, n), metric)
 
 
-def _written(dm: DistanceMatrix):
+def _written(write, dm: DistanceMatrix):
     try:
-        return distance_matrix_to_csv(dm)
+        return write(dm)
     except Exception as exc:  # the type and message are the outcome
         return type(exc), str(exc)
+
+
+def _reference_csv(dm: DistanceMatrix) -> str:
+    distance._check_distances(dm.ids, dm.values)  # the cells the reader refuses
+    return csv_written(dm)
 
 
 class TestCsvFastWriter:
@@ -494,9 +506,12 @@ class TestCsvFastWriter:
     @example(DistanceMatrix((), np.zeros((0, 0)), "hbool"))
     @example(DistanceMatrix(("x,y", "b"), [[0, 1], [1, 0]], "jaccard"))
     @example(DistanceMatrix(("a", "b"), [[0.5, 1.5], [2.5, 2.0**63]], "hbool"))
+    @example(DistanceMatrix(("",), [[0]], "jaccard"))
+    @example(DistanceMatrix(("a", "b"), [[-0.0, 1], [1, 0]], "hbool"))
+    @example(DistanceMatrix(("a", "b"), [[0, 2.0**70], [2.0**70, 0]], "hfreq"))
+    @example(DistanceMatrix(("a\rb", "c"), [[0, 0.5], [0.5, 0]], "cosine"))
     def test_fast_writer_matches_reference_writer(self, dm):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the fast path may not warn either
-            fast = _written(dm)
-        with mock.patch.object(distance, "_csv_joined", return_value=None):
-            assert fast == _written(dm)
+            warnings.simplefilter("error")  # the writer may not warn either
+            written = _written(distance_matrix_to_csv, dm)
+        assert written == _written(_reference_csv, dm)
