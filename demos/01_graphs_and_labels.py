@@ -2,15 +2,18 @@
 
 A woven fabric is a set of crossings; each crossing stores four vertices in
 consecutive array slots.  This script builds the smallest graphs by hand,
-shows what the validator catches, and reads the three connection labels.
+shows what the validator catches, shows that a broken graph cannot be
+walked, and reads the three connection labels.
 """
 
 import numpy as np
 
 from weftprint import (
     TERMINAL,
+    InvalidGraphError,
     TextileGraph,
     edge_label,
+    fingerprint,
     parse_graph,
     serialize_graph,
     validate,
@@ -43,6 +46,16 @@ report = validate(broken)
 print("broken graph violations:")
 for violation in report.violations:
     print("  -", violation)
+
+# Building a broken graph is allowed, so validate can report on it, but
+# walking it is not: the first walk runs validate and raises.  Graphs from
+# parse_graph and grid_to_graph were checked when made and skip this.
+try:
+    fingerprint(broken, 2)
+except InvalidGraphError as exc:
+    print("fingerprint(broken, 2) raises:", exc)
+else:
+    raise AssertionError("a broken graph was walked")
 
 # Two crossings joined on all four arms make a closed structure with no
 # thread ends at all; the model allows it.

@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
 from .fingerprint import fingerprint, save_fingerprint
-from .graph import GraphParseError, InvalidGraphError, load_graph
+from .graph import _DECIMAL, GraphParseError, InvalidGraphError, load_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -35,9 +35,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _integer(text: str) -> int:
+    # ASCII digits with an optional sign, as in the file formats; int()
+    # would also take '٣', '1_0' and ' 9 '.
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weftprint", description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_integer, default=None,
                         help="replaces the spec's [corpus] seed, the fallback for categories without one "
                              "(default: the spec's seed)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,18 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fingerprint", help="compute .fp fingerprints for a graph or directory")
     p.add_argument("--in", dest="input", required=True, help=".tg file or directory of .tg files")
-    p.add_argument("--k", type=int, required=True, help="neighborhood walk depth")
+    p.add_argument("--k", type=_integer, required=True, help="neighborhood walk depth")
     p.add_argument("--out", required=True, help=".fp file or directory, matching --in")
 
     p = sub.add_parser("distmatrix", help="pairwise distance matrix over a corpus manifest")
     p.add_argument("--manifest", required=True, help="corpus manifest CSV")
     p.add_argument("--metric", required=True, choices=distance_mod.METRICS)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--out", required=True, help="output CSV")
 
     p = sub.add_parser("cluster", help="UPGMA clustering scored against manifest categories")
     p.add_argument("--dist", required=True, help="distance matrix CSV")
-    p.add_argument("--clusters", type=int, required=True, help="target cluster count")
+    p.add_argument("--clusters", type=_integer, required=True, help="target cluster count")
     p.add_argument("--truth", required=True, help="manifest CSV with ground-truth categories")
     p.add_argument("--report", required=True, help="output JSON report")
 
@@ -73,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="corpus spec file")
     p.add_argument("--k-range", required=True, help="inclusive range a..b, e.g. 2..9")
     p.add_argument("--metrics", default="jaccard", help="comma-separated metric list")
-    p.add_argument("--repeats", type=int, default=3, help="runs per cell; the median is reported")
+    p.add_argument("--repeats", type=_integer, default=3, help="runs per cell; the median is reported")
     p.add_argument("--out", required=True, help="output CSV with rows metric,k,seconds")
     return parser
 
@@ -148,7 +156,7 @@ def _cmd_retrieve(args) -> int:
 
 def _parse_k_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
+    if not (sep and _DECIMAL.fullmatch(lo) and _DECIMAL.fullmatch(hi)):
         raise ValueError(f"--k-range must look like a..b, got {text!r}")
     lo, hi = int(lo), int(hi)
     if lo < 1 or hi < lo:
@@ -158,6 +166,7 @@ def _parse_k_range(text: str) -> range:
 
 def _cmd_bench(args) -> int:
     spec = corpus_mod.load_corpus_spec(args.spec)
+    k_values = _parse_k_range(args.k_range)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
         raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
@@ -173,7 +182,7 @@ def _cmd_bench(args) -> int:
         g._thread_arrays()  # exclude one-time array conversion from timings
 
     lines = ["metric,k,seconds"]
-    for k in _parse_k_range(args.k_range):
+    for k in k_values:
         for metric in metrics:
             samples = []
             for _ in range(args.repeats):

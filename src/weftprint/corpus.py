@@ -63,8 +63,9 @@ class CategorySpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.name or any(c in self.name for c in "/\\,"):
-            raise ValueError(f"category name {self.name!r} must be non-empty and free of path/comma characters")
+        if not self.name or any(c in self.name for c in "/\\,\r\n"):
+            raise ValueError(f"category name {self.name!r} must be non-empty, without path separators, "
+                             "commas or line breaks")
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
         if self.width < 1 or self.height < 1:

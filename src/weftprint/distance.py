@@ -335,7 +335,8 @@ def _check_distances(ids, values: np.ndarray) -> None:
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     """Distance CSV text; refuses the cells that ``csv_to_distance_matrix`` refuses.
 
-    ``csv.writer`` spells each id, so Python's own rule decides its quoting.
+    ``csv.writer`` spells each id, so Python's own rule decides its quoting;
+    its CR LF row end makes it quote a CR in an id as it quotes an LF.
     Each row is one ``%`` format of one matrix row: ``%.12g`` is
     ``format(x, ".12g")``, and ``%d`` of an ``np.rint`` float (half to even,
     as ``round()``) is exact at any size.  Rows are converted one at a
@@ -348,8 +349,8 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     quoted = []
     for row_id in dm.ids:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
-        quoted.append(buf.getvalue()[:-2])
+        csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
+        quoted.append(buf.getvalue()[:-3])
     if dm.metric in INTEGER_METRICS:
         fmt, rows = ",%d" * len(quoted), map(np.rint, dm.values)
     else:
@@ -440,5 +441,5 @@ def save_distance_matrix(dm: DistanceMatrix, path) -> None:
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:  # a CR in a quoted id stays a CR
         return csv_to_distance_matrix(fh.read())

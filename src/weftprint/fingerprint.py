@@ -20,7 +20,8 @@ kept sparse as a ``Counter``: real weaves use a tiny fraction of the
 possible neighborhoods.  Extraction is a single pass over the flat node
 array, O(n*k) for n crossings; the hot loop walks arms as base-4 label
 integers, and each distinct arm is decoded to its label string once per
-call.
+call.  Walks raise :class:`~weftprint.graph.InvalidGraphError` on a graph
+that breaks the model: the graph module checks each graph before its first.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-import numpy as np
-
-from .graph import TextileGraph
+from .graph import _DECIMAL, TextileGraph
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -95,22 +94,7 @@ def crossing_neighborhood(g: TextileGraph, c: int, k: int) -> Neighborhood:
     for i in range(b, b + 4):
         arm = arm_walk(g, i, k)
         (top_arms if g.on_top[i] else bottom_arms).append(arm)
-    if len(top_arms) != 2:
-        raise ValueError(f"crossing {c} does not have exactly two top nodes")
     return canonical_neighborhood(top_arms, bottom_arms)
-
-
-def _check_top_pairs(g: TextileGraph) -> None:
-    # The fast loop groups arms by the slot-0 partner; that is only sound
-    # when every crossing has exactly two top nodes and they are partners.
-    top = g.on_top.view(np.uint8).reshape(-1, 4)
-    # Adding the columns costs a tenth of sum(axis=1); a fixed cost per
-    # call inflates time(k)/k at small k, which must stay near constant.
-    wrong = top[:, 0] + top[:, 1] + top[:, 2] + top[:, 3] != 2
-    if wrong.any():
-        raise ValueError(f"crossing {int(wrong.argmax())} does not have exactly two top nodes")
-    if (g.on_top != g.on_top[g.opposite]).any():
-        raise ValueError("top flags are not consistent within thread pairs")
 
 
 def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
@@ -125,7 +109,6 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
     """
     if k < 1:
         raise ValueError(f"walk depth k must be >= 1, got {k}")
-    _check_top_pairs(g)
     nxt, top, opp = g._thread_arrays()
     pow4 = [4 ** d for d in range(k + 1)]
     keys = []
@@ -240,7 +223,6 @@ def _decode_arm(arm: int, k: int) -> str:
 _TO_FILE = str.maketrans(PAD, "0")
 _FROM_FILE = str.maketrans("0", PAD)
 _FILE_ARM = re.compile(r"[AN]*(?:T0*)?")
-_DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def format_neighborhood(nb: Neighborhood) -> str:

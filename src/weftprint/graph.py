@@ -70,6 +70,9 @@ class TextileGraph:
     length ``4n`` for ``n`` crossings.  Instances are cheap views over
     read-only numpy arrays; all operations on them are pure reads, so a
     graph can be shared freely across threads.
+    A graph that breaks the model can be built, for :func:`validate` to
+    report on, but not walked: its first walk runs :func:`validate` once,
+    unless :func:`parse_graph` or ``grid_to_graph`` made it.
     """
 
     next_node: np.ndarray
@@ -111,10 +114,13 @@ class TextileGraph:
         return f"TextileGraph(crossings={self.crossing_count})"
 
     def _thread_arrays(self):
-        # Plain lists index ~3x faster than numpy scalars in the walk loop;
-        # cache them once since the graph is immutable.
+        # Every walk starts here; the first call checks the graph unless its
+        # maker vouched for it.  Plain lists index ~3x faster than numpy
+        # scalars in the walk loop; cache them once: the graph is immutable.
         cached = self.__dict__.get("_lists")
         if cached is None:
+            if not self.__dict__.get("_valid"):
+                _require_valid(self)
             cached = (self.next_node.tolist(), self.on_top.tolist(), self.opposite.tolist())
             object.__setattr__(self, "_lists", cached)
         return cached
@@ -183,6 +189,19 @@ def validate(g: TextileGraph) -> ValidationReport:
         out.append(f"node {i}: asymmetric thread link (next({i})={nxt[i]}, next({nxt[i]})={back[i]})")
 
     return ValidationReport(tuple(out))
+
+
+def _require_valid(g: TextileGraph) -> TextileGraph:
+    report = validate(g)
+    if not report.ok:
+        raise InvalidGraphError(report.violations)
+    return _vouch(g)
+
+
+def _vouch(g: TextileGraph) -> TextileGraph:
+    """``g`` marked valid, so its walks skip :func:`validate`: only for checked or valid-by-construction graphs."""
+    object.__setattr__(g, "_valid", True)
+    return g
 
 
 def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
@@ -320,11 +339,7 @@ def parse_graph(text: str) -> TextileGraph:
     arrays = _parse_canonical(text)
     if arrays is None:
         arrays = _parse_lines(text)
-    g = TextileGraph(*arrays)
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(report.violations)
-    return g
+    return _require_valid(TextileGraph(*arrays))
 
 
 def serialize_graph(g: TextileGraph) -> str:

@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .graph import TERMINAL, TextileGraph
+from .graph import TERMINAL, TextileGraph, _vouch
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -214,6 +214,7 @@ def grid_to_graph(cells) -> TextileGraph:
     warp pair (thread running down column ``j``), slots 2/3 the weft pair
     (along row ``i``).  Slot 1 links to slot 0 of the crossing below, slot
     3 to slot 2 of the crossing to the right; grid-boundary arms terminate.
+    Every boolean matrix gives a valid graph, so walks skip the check.
     """
     m = _as_matrix(cells)
     h, w = m.shape
@@ -247,4 +248,4 @@ def grid_to_graph(cells) -> TextileGraph:
         nxt[left.reshape(-1)] = right.reshape(-1)
         nxt[right.reshape(-1)] = left.reshape(-1)
 
-    return TextileGraph(nxt, top, opp)
+    return _vouch(TextileGraph(nxt, top, opp))

@@ -262,10 +262,16 @@ def format_distance(x, metric):
 
 
 def csv_written(dm):
-    """Distance CSV text through ``csv.writer`` and ``format_distance``, cell by cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *dm.ids])
-    for i, row_id in enumerate(dm.ids):
-        writer.writerow([row_id, *(format_distance(x, dm.metric) for x in dm.values[i])])
-    return buf.getvalue()
+    """Distance CSV text through ``csv.writer`` and ``format_distance``, cell by cell.
+
+    Each row is written with a CR LF end, so that a CR in an id is quoted
+    as an LF is, and then ends with LF alone.
+    """
+    rows = [["id", *dm.ids]]
+    rows += [[row_id, *(format_distance(x, dm.metric) for x in dm.values[i])] for i, row_id in enumerate(dm.ids)]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -238,6 +238,45 @@ class TestBench:
         assert not (tmp_path / "b.csv").exists()
 
 
+class TestIntegerFlags:
+    # Flags take the file formats' integer rule: ASCII digits and a sign.
+    BAD = ["\u0663", "1_0", " 9 ", "9 "]
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("flag", ["--seed", "--k", "--clusters", "--repeats"])
+    def test_bad_value_is_usage_error(self, flag, value, tmp_path, capsys):
+        argv = {
+            "--seed": ["--seed", value, "generate", "--spec", "s.ini", "--out-dir", str(tmp_path / "c")],
+            "--k": ["fingerprint", "--in", "g.tg", "--k", value, "--out", str(tmp_path / "g.fp")],
+            "--clusters": ["cluster", "--dist", "d.csv", "--clusters", value, "--truth", "m.csv",
+                           "--report", str(tmp_path / "r.json")],
+            "--repeats": ["bench", "--spec", "s.ini", "--k-range", "1..2", "--repeats", value,
+                          "--out", str(tmp_path / "b.csv")],
+        }[flag]
+        assert main(argv) == 1
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_non_numeric_value_keeps_the_argparse_message(self, capsys):
+        assert main(["fingerprint", "--in", "g.tg", "--k", "abc", "--out", "g.fp"]) == 1
+        assert "argument --k: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_range", ["1_0..1_2", "\u0661..\u0663", " 1..2", "1..2 ", "1.. 2", "+..2"])
+    def test_bad_k_range_bound_is_data_error(self, k_range, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        assert main(["bench", "--spec", str(spec), "--k-range", k_range, "--out", str(tmp_path / "b.csv")]) == 2
+        assert f"--k-range must look like a..b, got {k_range!r}" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_signed_ascii_values_still_parse(self, tmp_path):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        assert main(["--seed", "+7", "bench", "--spec", str(spec), "--k-range", "+1..02",
+                     "--repeats", "+1", "--out", str(tmp_path / "b.csv")]) == 0
+        assert [line.split(",")[1] for line in read(tmp_path / "b.csv").splitlines()[1:]] == ["1", "2"]
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -102,6 +102,14 @@ class TestSpecValidation:
             CategorySpec(name="x", kind="plain", count=4, width=4, height=4,
                          perturb_fraction=0.75, transform_fraction=0.75)
 
+    def test_line_breaks_in_names_rejected(self):
+        # a manifest row for such a name would not read back
+        for name in ("a\rb", "a\nb", "a\r\n", "\r"):
+            with pytest.raises(ValueError, match="line breaks"):
+                CategorySpec(name=name, kind="plain", count=1, width=2, height=2)
+        with pytest.raises(ValueError, match="line breaks"):
+            parse_corpus_spec("[a\rb]\nkind = plain\n")
+
     def test_category_names_unique(self):
         cat = CategorySpec(name="x", kind="plain", count=1, width=2, height=2)
         with pytest.raises(ValueError, match="unique"):

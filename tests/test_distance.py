@@ -22,7 +22,9 @@ from weftprint.distance import (
     hamming_bool_distance,
     hamming_freq_distance,
     jaccard_distance,
+    load_distance_matrix,
     pair_distance,
+    save_distance_matrix,
     tfidf_weights,
 )
 
@@ -351,6 +353,16 @@ class TestDistanceCsv:
         dm = distance_matrix([R, S], "jaccard", ids=("a", "b"))
         text = distance_matrix_to_csv(dm)
         assert text.splitlines()[1] == "a,0,0.666666666667"
+
+    def test_cr_in_an_id_is_quoted_and_reads_back(self, tmp_path):
+        dm = DistanceMatrix(("a\rb", "c"), [[0, 1], [1, 0]], "hbool")
+        text = distance_matrix_to_csv(dm)
+        assert text == 'id,"a\rb",c\n"a\rb",0,1\nc,1,0\n'
+        assert csv_to_distance_matrix(text).ids == dm.ids
+        save_distance_matrix(dm, tmp_path / "d.csv")
+        loaded = load_distance_matrix(tmp_path / "d.csv")
+        assert loaded.ids == dm.ids
+        assert loaded.values.tobytes() == dm.values.tobytes()
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)

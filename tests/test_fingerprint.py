@@ -16,7 +16,8 @@ from weftprint.fingerprint import (
     parse_neighborhood,
     text_to_fingerprint,
 )
-from weftprint.graph import TERMINAL, TextileGraph, parse_graph, validate
+import weftprint.graph as graph_mod
+from weftprint.graph import TERMINAL, InvalidGraphError, TextileGraph, parse_graph, serialize_graph, validate
 from weftprint.weaves import (
     grid_to_graph,
     plain_weave,
@@ -165,18 +166,18 @@ class TestFingerprint:
         g = TextileGraph(
             np.array([TERMINAL] * 4), np.array([True, True, True, False]), np.array([1, 0, 3, 2])
         )
-        with pytest.raises(ValueError, match="two top nodes"):
+        with pytest.raises(InvalidGraphError, match=r"crossing 0: top-edge count != 2 \(found 3\)"):
             fingerprint(g, 2)
-        # the message names the first offending crossing
+        # the message names the offending crossing
         g = TextileGraph(
             np.array([TERMINAL] * 8),
             np.array([True, True, False, False, True, False, False, False]),
             np.array([1, 0, 3, 2, 5, 4, 7, 6]),
         )
-        with pytest.raises(ValueError, match="crossing 1 does not have exactly two top nodes"):
+        with pytest.raises(InvalidGraphError, match=r"crossing 1: top-edge count != 2 \(found 1\)"):
             fingerprint(g, 2)
         g = TextileGraph(np.array([TERMINAL] * 4), np.array([True, False, True, False]), np.array([1, 0, 3, 2]))
-        with pytest.raises(ValueError, match="not consistent within thread pairs"):
+        with pytest.raises(InvalidGraphError, match="node 0: on_top differs from its opposite node 1"):
             fingerprint(g, 2)
 
     @pytest.mark.parametrize("opp_block", [[1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
@@ -210,6 +211,69 @@ class TestFingerprint:
             assert validate(g).ok
             ref = Counter(crossing_neighborhood(g, c, k) for c in range(n))
             assert list(fingerprint(g, k).items()) == list(ref.items())
+
+
+def _one_crossing(nxt, top=(True, True, False, False), opp=(1, 0, 3, 2)):
+    return TextileGraph(np.array(nxt), np.array(top), np.array(opp))
+
+
+INVALID_GRAPHS = {
+    "link inside its own crossing": lambda: _one_crossing([1, 0, TERMINAL, TERMINAL]),
+    "asymmetric link": lambda: TextileGraph(
+        np.array([TERMINAL, 4, TERMINAL, TERMINAL, TERMINAL, TERMINAL, TERMINAL, TERMINAL]),
+        np.array([True, True, False, False] * 2),
+        np.array([1, 0, 3, 2, 5, 4, 7, 6]),
+    ),
+    "opposite out of range": lambda: _one_crossing([TERMINAL] * 4, opp=(1, 0, 3, 9)),
+    "three top nodes": lambda: _one_crossing([TERMINAL] * 4, top=(True, True, True, False)),
+}
+
+WALKS = {
+    "fingerprint": lambda g: fingerprint(g, 2),
+    "arm_walk": lambda g: arm_walk(g, 0, 2),
+    "crossing_neighborhood": lambda g: crossing_neighborhood(g, 0, 2),
+}
+
+
+class TestWalksCheckTheGraph:
+    @pytest.mark.parametrize("walk", WALKS, ids=str)
+    @pytest.mark.parametrize("make", INVALID_GRAPHS, ids=str)
+    def test_every_walk_refuses_an_invalid_graph(self, make, walk):
+        g = INVALID_GRAPHS[make]()
+        report = validate(g)
+        assert not report.ok
+        with pytest.raises(InvalidGraphError) as caught:
+            WALKS[walk](g)
+        assert caught.value.violations == list(report.violations)
+        with pytest.raises(InvalidGraphError):  # a refused graph stays refused
+            WALKS[walk](g)
+
+    def test_each_graph_is_validated_once_at_most(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return validate(g)
+
+        def walk_repeatedly(g):
+            for k in (1, 2, 4):
+                fingerprint(g, k)
+                arm_walk(g, 0, k)
+                crossing_neighborhood(g, 0, k)
+
+        monkeypatch.setattr(graph_mod, "validate", counting)
+        parsed = parse_graph(serialize_graph(grid_to_graph(plain_weave(3, 2))))
+        walk_repeatedly(parsed)
+        assert calls == [parsed]  # parse_graph checks; its walks do not
+        calls.clear()
+        walk_repeatedly(grid_to_graph(random_weave(0.5, 4, 3, 11)))
+        assert calls == []  # valid by construction
+        hand_built = TextileGraph(np.array([4, 5, 6, 7, 0, 1, 2, 3]),
+                                  np.array([True, True, False, False] * 2),
+                                  np.array([1, 0, 3, 2, 5, 4, 7, 6]))
+        assert calls == []  # construction does not check
+        walk_repeatedly(hand_built)
+        assert calls == [hand_built]  # the first walk checks, once
 
 
 class TestFingerprintFiles:
