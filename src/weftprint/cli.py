@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -21,7 +20,7 @@ from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
 from .fingerprint import fingerprint, save_fingerprint
-from .graph import _DECIMAL, GraphParseError, InvalidGraphError, load_graph
+from .graph import _DECIMAL, load_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except (GraphParseError, InvalidGraphError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"weftprint {args.command}: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -41,6 +41,7 @@ import numpy as np
 from .graph import TextileGraph, load_graph, save_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
+    _read_number,
     grid_to_graph,
     mixed_weave,
     parse_kind,
@@ -115,12 +116,9 @@ _POOL_STREAM = 997  # category-level stream id for shared mixed-weave motif pool
 
 def _sample_matrix(cat: CategorySpec, seed: int, index: int):
     name, args = parse_kind(cat.kind)
-    if name == "mixed":
-        # one motif pool per category; each sample only re-arranges it
-        if len(args) != 2:
-            raise ValueError(f"weave kind {cat.kind!r} takes 2 parameter(s), got {len(args)}")
+    if name == "mixed":  # one motif pool per category; each sample only re-arranges it
         return mixed_weave(
-            int(args[0]), int(args[1]), cat.width, cat.height,
+            *args, cat.width, cat.height,
             pool_seed=np.random.SeedSequence([seed, _POOL_STREAM]),
             choice_seed=_sample_seed(seed, index, 0),
         )
@@ -151,10 +149,20 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusItem]:
 # --- spec files ---------------------------------------------------------------
 
 _GLOBAL_SECTION = "corpus"
+# The type of each key's value; a key left out keeps its default.
 _CATEGORY_KEYS = {
-    "kind", "count", "width", "height",
-    "perturb_fraction", "perturb_rate", "transform_fraction", "seed",
+    "kind": str, "count": int, "width": int, "height": int,
+    "perturb_fraction": float, "perturb_rate": float, "transform_fraction": float, "seed": int,
 }
+_CATEGORY_DEFAULTS = {"count": 1, "width": 16, "height": 16}
+
+
+def _read_section(section, types: dict, where: str) -> dict:
+    unknown = set(section) - set(types)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    return {key: text if types[key] is str else _read_number(text, types[key], f"{where}: {key}")
+            for key, text in section.items()}
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
@@ -166,37 +174,17 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
     seed = 0
     if parser.has_section(_GLOBAL_SECTION):
-        unknown = set(parser[_GLOBAL_SECTION]) - {"seed"}
-        if unknown:
-            raise ValueError(f"section {_GLOBAL_SECTION!r}: unknown keys {sorted(unknown)}")
-        seed = parser.getint(_GLOBAL_SECTION, "seed", fallback=0)
+        seed = _read_section(parser[_GLOBAL_SECTION], {"seed": int}, f"section {_GLOBAL_SECTION!r}").get("seed", 0)
 
     categories = []
     for name in parser.sections():
         if name == _GLOBAL_SECTION:
             continue
-        section = parser[name]
-        unknown = set(section) - _CATEGORY_KEYS
-        if unknown:
-            raise ValueError(f"category {name!r}: unknown keys {sorted(unknown)}")
-        if "kind" not in section:
+        values = _read_section(parser[name], _CATEGORY_KEYS, f"category {name!r}")
+        if "kind" not in values:
             raise ValueError(f"category {name!r}: missing required key 'kind'")
-        try:
-            categories.append(CategorySpec(
-                name=name,
-                kind=section["kind"],
-                count=section.getint("count", fallback=1),
-                width=section.getint("width", fallback=16),
-                height=section.getint("height", fallback=16),
-                perturb_fraction=section.getfloat("perturb_fraction", fallback=0.0),
-                perturb_rate=section.getfloat("perturb_rate", fallback=0.0),
-                transform_fraction=section.getfloat("transform_fraction", fallback=0.0),
-                seed=section.getint("seed") if "seed" in section else None,
-            ))
-        except ValueError:
-            raise
-        except Exception as exc:
-            raise ValueError(f"category {name!r}: {exc}") from None
+        parse_kind(values["kind"])  # a bad kind is refused here, before anything is generated
+        categories.append(CategorySpec(name, **{**_CATEGORY_DEFAULTS, **values}))
     return CorpusSpec(tuple(categories), seed=seed)
 
 

@@ -89,7 +89,8 @@ def _norm(values) -> float:
     return math.sqrt(_left_sum(v * v for v in values))
 
 
-def _sparse_cosine_distance(r: Mapping, s: Mapping) -> float:
+def cosine_distance(r: Mapping, s: Mapping) -> float:
+    """Cosine distance of the raw frequency vectors."""
     norm_r = _norm(r.values())
     norm_s = _norm(s.values())
     if norm_r == 0.0 and norm_s == 0.0:
@@ -100,11 +101,6 @@ def _sparse_cosine_distance(r: Mapping, s: Mapping) -> float:
     dot = _left_sum(c * large[p] for p, c in small.items() if p in large)
     # rounding can push the similarity a ulp past 1; keep the distance in [0, 1]
     return max(0.0, 1.0 - dot / (norm_r * norm_s))
-
-
-def cosine_distance(r: Mapping, s: Mapping) -> float:
-    """Cosine distance of the raw frequency vectors."""
-    return _sparse_cosine_distance(r, s)
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,6 @@ class CorpusStats:
 
 def corpus_stats(fingerprints: Sequence[Mapping]) -> CorpusStats:
     """Count, per neighborhood, how many fingerprints contain it."""
-    if not fingerprints:
-        raise ValueError("corpus statistics need at least one fingerprint")
     df: Counter = Counter()
     for fp in fingerprints:
         df.update(p for p, c in fp.items() if c)
@@ -145,7 +139,7 @@ def tfidf_weights(fp: Mapping, stats: CorpusStats) -> dict:
 
 def cosine_tfidf_distance(r: Mapping, s: Mapping, stats: CorpusStats) -> float:
     """Cosine distance of the TF-IDF weighted vectors."""
-    return _sparse_cosine_distance(tfidf_weights(r, stats), tfidf_weights(s, stats))
+    return cosine_distance(tfidf_weights(r, stats), tfidf_weights(s, stats))
 
 
 def pair_distance(r: Mapping, s: Mapping, metric: str, stats: CorpusStats | None = None) -> float:
@@ -164,9 +158,18 @@ def pair_distance(r: Mapping, s: Mapping, metric: str, stats: CorpusStats | None
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
+def _check_distances(ids, values: np.ndarray) -> None:
+    """Raise ``ValueError`` on the first non-finite or negative cell, by row, id and column."""
+    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"distance matrix row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
+                         f"got {values[i, j]} in column {ids[j]!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric pairwise distances with their row/column ids."""
+    """Symmetric pairwise distances with their row/column ids; every cell is finite and >= 0."""
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -187,6 +190,7 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix shape {values.shape} does not match {len(self.ids)} ids")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("distance matrix ids must be unique")
+        _check_distances(self.ids, values)
         values.flags.writeable = False
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", values)
@@ -309,7 +313,7 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
 
 
 def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarray:
-    """``_sparse_cosine_distance`` for one row against many, same conventions."""
+    """``cosine_distance`` for one row against many, same conventions."""
     if norm_r == 0.0:
         return np.where(norm_s == 0.0, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -323,17 +327,8 @@ def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarra
 # metrics are written unpadded; the rest with 12 significant digits.
 
 
-def _check_distances(ids, values: np.ndarray) -> None:
-    """Raise ``ValueError`` on the first non-finite or negative cell, by row, id and column."""
-    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
-                         f"got {values[i, j]} in column {ids[j]!r}")
-
-
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
-    """Distance CSV text; refuses the cells that ``csv_to_distance_matrix`` refuses.
+    """Distance CSV text, which ``csv_to_distance_matrix`` reads back.
 
     ``csv.writer`` spells each id, so Python's own rule decides its quoting;
     its CR LF row end makes it quote a CR in an id as it quotes an LF.
@@ -345,7 +340,6 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     import csv
     import io
 
-    _check_distances(dm.ids, dm.values)
     quoted = []
     for row_id in dm.ids:
         buf = io.StringIO()
@@ -360,8 +354,8 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     return "".join(lines)
 
 
-# A cell is an ASCII decimal number, or a nan/inf spelling that the range
-# check below then rejects.  float() alone would also take '1_0' and '٣'.
+# A cell is an ASCII decimal number, or a nan/inf spelling that a range
+# check then rejects.  float() alone would also take '1_0' and '٣'.
 _CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))")
 _NOT_NUMERIC = str.maketrans("", "", "0123456789.eE+-,")
 
@@ -430,9 +424,7 @@ def _csv_rows(text: str):
 
 def csv_to_distance_matrix(text: str) -> DistanceMatrix:
     """Parse distance CSV text; plain text takes one ``np.loadtxt`` call."""
-    ids, values = _csv_canonical(text) or _csv_rows(text)
-    _check_distances(ids, values)
-    return DistanceMatrix(ids, values)
+    return DistanceMatrix(*(_csv_canonical(text) or _csv_rows(text)))
 
 
 def save_distance_matrix(dm: DistanceMatrix, path) -> None:

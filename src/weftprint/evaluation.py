@@ -80,15 +80,13 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
     incrementally as size-weighted averages, equal to the from-scratch
     mean up to rounding.  Ties between equal stored means resolve to the
     smallest (rep_i, rep_j) pair.  Only the upper triangle of ``dm`` is
-    read, and it must be finite.  Each row's minimum is cached, so a merge
-    costs O(n) plus a rescan of the rows whose minimum it moved.
+    read.  Each row's minimum is cached, so a merge costs O(n) plus a
+    rescan of the rows whose minimum it moved.
     """
     n = len(dm.ids)
     d = np.array(dm.values, dtype=np.float64)
     lower = np.tril_indices(n, -1)
     d[lower] = d.T[lower]  # mirror the upper triangle
-    if not np.isfinite(d[lower]).all():
-        raise ValueError("UPGMA needs finite distances")
     np.fill_diagonal(d, np.inf)
     sizes = np.ones(n)
     # Each row's minimum and the first column holding it; a merged-away

@@ -205,13 +205,14 @@ def _vouch(g: TextileGraph) -> TextileGraph:
 
 
 def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
-    """Label of the thread connection leaving vertex ``i``."""
+    """Label of the thread connection leaving vertex ``i``; the first call checks the graph, as a walk does."""
     if not 0 <= i < g.node_count:
         raise IndexError(f"node index {i} out of range for {g.node_count} nodes")
-    j = g.next_node[i]
+    nxt, top, _ = g._thread_arrays()
+    j = nxt[i]
     if j == TERMINAL:
         return EdgeLabel.TERMINATED
-    if bool(g.on_top[i]) != bool(g.on_top[j]):
+    if top[i] != top[j]:
         return EdgeLabel.ALTERNATING
     return EdgeLabel.NON_ALTERNATING
 

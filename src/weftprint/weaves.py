@@ -25,7 +25,8 @@ import re
 
 import numpy as np
 
-from .graph import TERMINAL, TextileGraph, _vouch
+from .distance import _CELL
+from .graph import _DECIMAL, TERMINAL, TextileGraph, _vouch
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -110,15 +111,44 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
 
 
 _KIND_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
+_KIND_ARGS = {"plain": (), "twill": (int, int), "satin": (int, int), "warp_above": (), "random": (float,),
+              "mixed": (int, int)}
 
 
-def parse_kind(kind: str) -> tuple[str, list[str]]:
-    """Split a kind string like ``twill(2,1)`` into name and argument list."""
+def _read_number(text: str, as_type: type, where: str):
+    """``text`` as an ``int`` or ``float`` spelled in ASCII, as in the file formats.
+
+    ``int()`` and ``float()`` alone would also take ``1_0`` and ``٣``.
+    """
+    rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
+    if not rule.fullmatch(text):
+        raise ValueError(f"{where}: {text!r} is not {noun}")
+    return as_type(text)
+
+
+def parse_kind(kind: str) -> tuple[str, list]:
+    """Name and converted arguments of a kind string, e.g. ``("twill", [2, 1])``.
+
+    ``twill``, ``satin`` and ``mixed`` take two integers, ``random`` one
+    decimal, ``plain`` and ``warp_above`` none.  Integers are ASCII digits
+    with an optional sign; decimals are spelled as distance-CSV cells.  An
+    unparseable or unknown kind, or a wrong argument count or spelling, is a
+    ``ValueError``.
+    """
     m = _KIND_RE.match(kind)
     if not m:
         raise ValueError(f"unparseable weave kind {kind!r}")
-    argtext = m.group(2)
-    return m.group(1), [a.strip() for a in argtext.split(",")] if argtext else []
+    name, argtext = m.groups()
+    if name not in _KIND_ARGS:
+        raise ValueError(f"unknown weave kind {name!r}")
+    args = [a.strip() for a in argtext.split(",")] if argtext else []
+    types = _KIND_ARGS[name]
+    if len(args) != len(types):
+        raise ValueError(f"weave kind {kind!r} takes {len(types)} parameter(s), got {len(args)}")
+    return name, [_read_number(a, t, f"weave kind {kind!r}") for a, t in zip(args, types)]
+
+
+_SEEDLESS = {"plain": plain_weave, "twill": twill_weave, "satin": satin_weave, "warp_above": warp_above_weave}
 
 
 def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:
@@ -131,39 +161,18 @@ def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:
     directly to share one pool across several mosaics.
     """
     name, args = parse_kind(kind)
-    if name == "plain":
-        _expect_args(kind, args, 0)
-        return plain_weave(w, h)
-    if name == "twill":
-        _expect_args(kind, args, 2)
-        return twill_weave(int(args[0]), int(args[1]), w, h)
-    if name == "satin":
-        _expect_args(kind, args, 2)
-        return satin_weave(int(args[0]), int(args[1]), w, h)
-    if name == "warp_above":
-        _expect_args(kind, args, 0)
-        return warp_above_weave(w, h)
+    if name in _SEEDLESS:
+        return _SEEDLESS[name](*args, w, h)
+    if seed is None:
+        raise ValueError(f"{name} weave needs a seed")
     if name == "random":
-        _expect_args(kind, args, 1)
-        if seed is None:
-            raise ValueError("random weave needs a seed")
-        return random_weave(float(args[0]), w, h, seed)
-    if name == "mixed":
-        _expect_args(kind, args, 2)
-        if seed is None:
-            raise ValueError("mixed weave needs a seed")
-        pool_seed, choice_seed = np.random.SeedSequence(_seed_entropy(seed)).spawn(2)
-        return mixed_weave(int(args[0]), int(args[1]), w, h, pool_seed, choice_seed)
-    raise ValueError(f"unknown weave kind {name!r}")
+        return random_weave(*args, w, h, seed)
+    pool_seed, choice_seed = np.random.SeedSequence(_seed_entropy(seed)).spawn(2)
+    return mixed_weave(*args, w, h, pool_seed, choice_seed)
 
 
 def _seed_entropy(seed):
     return seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
-
-
-def _expect_args(kind, args, count):
-    if len(args) != count:
-        raise ValueError(f"weave kind {kind!r} takes {count} parameter(s), got {len(args)}")
 
 
 TRANSFORM_OPS = ("rotate90", "rotate180", "mirror")

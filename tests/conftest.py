@@ -20,6 +20,21 @@ DESK_SCALE_KINDS = (
 )
 
 
+# Corpus specs whose numbers int() or float() would take, and the message each is refused with.
+MISSPELLED_SPECS = [
+    ("[corpus]\nseed = 1_0\n\n[a]\nkind = plain\n", r"section 'corpus': seed: '1_0' is not an integer"),
+    ("[a]\nkind = plain\ncount = \u0663\n", r"category 'a': count: '\u0663' is not an integer"),
+    ("[a]\nkind = plain\ncount = abc\n", r"category 'a': count: 'abc' is not an integer"),
+    ("[a]\nkind = plain\nwidth = 1.0\n", r"category 'a': width: '1.0' is not an integer"),
+    ("[a]\nkind = plain\nseed = 0x10\n", r"category 'a': seed: '0x10' is not an integer"),
+    ("[a]\nkind = plain\nperturb_rate = 1_0e-2\n", r"category 'a': perturb_rate: '1_0e-2' is not a decimal number"),
+    ("[a]\nkind = plain\ntransform_fraction = \u0660.5\n",
+     r"category 'a': transform_fraction: '\u0660.5' is not a decimal number"),
+    ("[a]\nkind = twill(\u0662,1)\n", r"weave kind 'twill\(\u0662,1\)': '\u0662' is not an integer"),
+    ("[a]\nkind = random(1_0)\n", r"weave kind 'random\(1_0\)': '1_0' is not a decimal number"),
+]
+
+
 def desk_scale_spec(seed=7) -> CorpusSpec:
     categories = tuple(
         CategorySpec(

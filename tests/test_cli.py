@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from weftprint.cli import main
 from weftprint.graph import save_graph
 from weftprint.weaves import grid_to_graph, plain_weave
 
-from conftest import desk_scale_config_text
+from conftest import MISSPELLED_SPECS, desk_scale_config_text
 
 TINY_SPEC = """\
 [corpus]
@@ -79,6 +80,14 @@ class TestGenerate:
         spec.write_text("[corpus]\nsed = 9\n\n[a]\nkind = plain\n")
         assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
         assert "unknown keys ['sed']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", MISSPELLED_SPECS)
+    def test_misspelled_number_is_data_error(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text, encoding="utf-8")
+        assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+        assert re.search(f"^weftprint generate: error: {message}$", capsys.readouterr().err, re.MULTILINE)
         assert not (tmp_path / "out").exists()
 
 

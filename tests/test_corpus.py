@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from weftprint.corpus import (
     CategorySpec,
@@ -14,13 +18,34 @@ from weftprint.corpus import (
 from weftprint.graph import validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
-from conftest import desk_scale_config_text, desk_scale_spec
+from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
 
 
 def single_category(**overrides):
     base = dict(name="plain", kind="plain", count=3, width=4, height=4)
     base.update(overrides)
     return CorpusSpec((CategorySpec(**base),), seed=1)
+
+
+FRACTIONS = st.floats(0, 1)
+
+
+@st.composite
+def category_specs(draw):
+    perturb_fraction, transform_fraction = draw(FRACTIONS), draw(FRACTIONS)
+    assume(perturb_fraction + transform_fraction <= 1.0)
+    return CategorySpec(
+        name=draw(st.from_regex(r"[a-z0-9][a-z0-9_.-]{0,8}", fullmatch=True).filter(lambda s: s != "corpus")),
+        kind=draw(st.one_of(st.sampled_from(["plain", "warp_above", "twill(2,1)", "satin(5,2)", "mixed(4,3)"]),
+                            FRACTIONS.map(lambda d: f"random({d})"))),
+        count=draw(st.integers(1, 2**64)),
+        width=draw(st.integers(1, 2**64)),
+        height=draw(st.integers(1, 2**64)),
+        perturb_fraction=perturb_fraction,
+        perturb_rate=draw(FRACTIONS),
+        transform_fraction=transform_fraction,
+        seed=draw(st.integers(0, 2**64)),
+    )
 
 
 class TestGenerate:
@@ -150,6 +175,29 @@ class TestSpecFiles:
     def test_malformed_ini_rejected(self):
         with pytest.raises(ValueError, match="bad corpus spec"):
             parse_corpus_spec("kind = plain\n")
+
+    @pytest.mark.parametrize("text, message", MISSPELLED_SPECS)
+    def test_numbers_take_ascii_spellings_only(self, text, message):
+        # int() and float() take every one of these
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_corpus_spec(text)
+
+    def test_random_density_range_checked_at_generation(self):
+        spec = parse_corpus_spec("[a]\nkind = random(nan)\n")
+        with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
+            generate_corpus(spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(category_specs(), min_size=1, max_size=3, unique_by=lambda c: c.name), st.integers(0, 2**64))
+    @example([CategorySpec("a", "random(1e-05)", 1, 1, 1, 5e-324, 0.1, 1e-05, 0)], 7)
+    def test_written_values_read_back(self, categories, seed):
+        # every value spelled by str(), one key per CategorySpec field
+        lines = [f"[corpus]\nseed = {seed}\n"]
+        for cat in categories:
+            lines.append(f"[{cat.name}]")
+            lines.extend(f"{f.name} = {getattr(cat, f.name)}" for f in dataclasses.fields(cat) if f.name != "name")
+            lines.append("")
+        assert parse_corpus_spec("\n".join(lines)) == CorpusSpec(tuple(categories), seed=seed)
 
 
 class TestCorpusFiles:

@@ -195,6 +195,13 @@ class TestMetricProperties:
 
 
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, -5.0])
+    def test_cells_must_be_finite_and_non_negative(self, cell):
+        # every matrix is checked when it is made, not only the ones read from or written to CSV
+        message = r"^distance matrix row 1 \('a'\): distances must be finite and >= 0, got .* in column 'b'$"
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(("a", "b"), [[0, cell], [cell, 0]])
+
     def test_identical_fingerprints_all_zero(self):
         for metric in ("jaccard", "hbool", "hfreq", "cosine"):
             dm = distance_matrix([R, R], metric)
@@ -489,41 +496,37 @@ WRITER_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3, 0
 
 
 @st.composite
-def distance_matrices(draw):
-    """Matrices of any metric with odd ids, rounding cases, huge cells and the cells the reader refuses."""
+def distance_matrix_parts(draw):
+    """``(ids, values, metric)`` with odd ids, rounding cases, huge cells and the cells a matrix refuses."""
     n = draw(st.integers(0, 4))
     ids = draw(st.lists(st.sampled_from(WRITER_IDS), min_size=n, max_size=n, unique=True))
     cell = st.one_of(st.sampled_from(WRITER_CELLS), st.integers(0, 40).map(lambda k: k / 2),
                      st.floats(0, 2.0**64), st.floats(allow_nan=False, allow_infinity=False))
     cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
     metric = draw(st.sampled_from(METRICS + ("",)))
-    return DistanceMatrix(tuple(ids), np.array(cells, dtype=np.float64).reshape(n, n), metric)
-
-
-def _written(write, dm: DistanceMatrix):
-    try:
-        return write(dm)
-    except Exception as exc:  # the type and message are the outcome
-        return type(exc), str(exc)
-
-
-def _reference_csv(dm: DistanceMatrix) -> str:
-    distance._check_distances(dm.ids, dm.values)  # the cells the reader refuses
-    return csv_written(dm)
+    return tuple(ids), np.array(cells, dtype=np.float64).reshape(n, n), metric
 
 
 class TestCsvFastWriter:
     @settings(max_examples=400, deadline=None)
-    @given(distance_matrices())
-    @example(DistanceMatrix((), np.zeros((0, 0)), "hbool"))
-    @example(DistanceMatrix(("x,y", "b"), [[0, 1], [1, 0]], "jaccard"))
-    @example(DistanceMatrix(("a", "b"), [[0.5, 1.5], [2.5, 2.0**63]], "hbool"))
-    @example(DistanceMatrix(("",), [[0]], "jaccard"))
-    @example(DistanceMatrix(("a", "b"), [[-0.0, 1], [1, 0]], "hbool"))
-    @example(DistanceMatrix(("a", "b"), [[0, 2.0**70], [2.0**70, 0]], "hfreq"))
-    @example(DistanceMatrix(("a\rb", "c"), [[0, 0.5], [0.5, 0]], "cosine"))
-    def test_fast_writer_matches_reference_writer(self, dm):
+    @given(distance_matrix_parts())
+    @example(((), np.zeros((0, 0)), "hbool"))
+    @example((("x,y", "b"), [[0, 1], [1, 0]], "jaccard"))
+    @example((("a", "b"), [[0.5, 1.5], [2.5, 2.0**63]], "hbool"))
+    @example((("",), [[0]], "jaccard"))
+    @example((("a", "b"), [[-0.0, 1], [1, 0]], "hbool"))
+    @example((("a", "b"), [[0, 2.0**70], [2.0**70, 0]], "hfreq"))
+    @example((("a\rb", "c"), [[0, 0.5], [0.5, 0]], "cosine"))
+    @example((("a", "b"), [[0, math.nan], [-5.0, 0]], "jaccard"))
+    def test_fast_writer_matches_reference_writer(self, parts):
+        ids, values, metric = parts
+        if not (np.isfinite(values) & (np.asarray(values) >= 0)).all():
+            # a matrix that the reader would refuse cannot be made, so it is never written
+            with pytest.raises(ValueError, match=r"^distance matrix row \d+ \(.*\): distances must be finite and >= 0"):
+                DistanceMatrix(ids, values, metric)
+            return
+        dm = DistanceMatrix(ids, values, metric)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the writer may not warn either
-            written = _written(distance_matrix_to_csv, dm)
-        assert written == _written(_reference_csv, dm)
+            written = distance_matrix_to_csv(dm)
+        assert written == csv_written(dm)

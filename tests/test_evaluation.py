@@ -433,9 +433,9 @@ class TestCachedRowMinima:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_distance_rejected(self, bad):
-        dm = matrix("abc", [[0, 1, bad], [1, 0, 2], [bad, 2, 0]])
-        with pytest.raises(ValueError, match="finite"):
-            upgma_merges(dm)
+        # the matrix refuses the cell when it is made, so UPGMA never meets one
+        with pytest.raises(ValueError, match=r"row 1 \('a'\): distances must be finite .* in column 'c'"):
+            matrix("abc", [[0, 1, bad], [1, 0, 2], [bad, 2, 0]])
 
 
 class TestReports:

@@ -238,6 +238,13 @@ class TestEdgeLabel:
             assert terminated == 2 * (w + h)
             assert terminated % 2 == 0
 
+    def test_broken_graph_refused(self):
+        # numpy would wrap the -2 and answer ALTERNATING; the label reads the checked arrays
+        g = TextileGraph([-2, -1, -1, -1], [True, True, False, False], [1, 0, 3, 2])
+        assert "node 0: next index -2 out of range" in validate(g).violations
+        with pytest.raises(InvalidGraphError, match="next index -2 out of range"):
+            edge_label(g, 0)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31))

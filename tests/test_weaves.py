@@ -91,6 +91,25 @@ class TestConstructors:
         with pytest.raises(ValueError, match="unparseable"):
             parse_kind("twill(2,1")
 
+    def test_parse_kind_converts_arguments(self):
+        assert parse_kind("twill(2, 1)") == ("twill", [2, 1])
+        assert parse_kind("random(0.5)") == ("random", [0.5])
+        assert parse_kind(" warp_above ") == ("warp_above", [])
+        assert [type(a) for a in parse_kind("mixed(4,3)")[1]] == [int, int]
+
+    @pytest.mark.parametrize("kind, message", [
+        ("basket", r"unknown weave kind 'basket'"),
+        ("plain(1)", r"weave kind 'plain\(1\)' takes 0 parameter\(s\), got 1"),
+        ("twill(2)", r"weave kind 'twill\(2\)' takes 2 parameter\(s\), got 1"),
+        ("random(0.5,1)", r"weave kind 'random\(0.5,1\)' takes 1 parameter\(s\), got 2"),
+        ("twill(\u0662,1)", r"weave kind 'twill\(\u0662,1\)': '\u0662' is not an integer"),
+        ("satin(5,2.0)", r"weave kind 'satin\(5,2.0\)': '2.0' is not an integer"),
+        ("random(1_0)", r"weave kind 'random\(1_0\)': '1_0' is not a decimal number"),
+    ])
+    def test_parse_kind_refuses(self, kind, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_kind(kind)
+
 
 class TestMixedWeave:
     def test_every_block_comes_from_the_pool(self):
