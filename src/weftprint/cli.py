@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 usage error, 2 data or validation error.
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import statistics
 import sys
 import time
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
-from .fingerprint import fingerprint, save_fingerprint
+from .fingerprint import Fingerprint, fingerprint, save_fingerprint
 from .graph import _DECIMAL, load_graph
 
 USAGE_ERROR = 1
@@ -98,19 +100,54 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _fingerprint_file(path, k) -> Fingerprint:
+    try:
+        g = load_graph(path)
+    except ValueError as exc:  # an OSError names its file already
+        raise ValueError(f"{path}: {exc}") from exc
+    return fingerprint(g, k)
+
+
+def _fingerprint_files(paths, k) -> list[Fingerprint]:
+    """Fingerprints of the ``.tg`` files at ``paths``, in order, one worker per available CPU.
+
+    Only a path goes to a worker and only a ``Counter`` comes back; pickling
+    keeps its key order, so every output is the same as from a serial run.
+    Either way the error raised is the first failure in input order.
+    """
+    # macOS has no affinity call; it stays serial, as do hosts without fork.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(paths))
+    if workers > 1:
+        # Imported here: at module level they add ~1.5 MB and ~15 ms to the
+        # start of every command, pooled or not.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Executor.map yields in input order and raises there, whichever
+            # worker failed first; a worker that dies breaks the pool, where a
+            # multiprocessing.Pool would wait for its lost chunk forever.
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                chunk = -(-len(paths) // (4 * workers))  # Pool.map's default: four chunks per worker
+                return list(pool.map(_fingerprint_file, paths, itertools.repeat(k), chunksize=chunk))
+    return [_fingerprint_file(path, k) for path in paths]
+
+
 def _cmd_fingerprint(args) -> int:
     src = Path(args.input)
     if src.is_dir():
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         paths = sorted(src.glob("*.tg"))
         if not paths:
             raise ValueError(f"no .tg files found in {src}")
-        for path in paths:
-            save_fingerprint(fingerprint(load_graph(path), args.k), out_dir / (path.stem + ".fp"))
+        fps = _fingerprint_files(paths, args.k)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, fp in zip(paths, fps):
+            save_fingerprint(fp, out_dir / (path.stem + ".fp"))
         print(f"wrote {len(paths)} fingerprints to {out_dir}")
     else:
-        save_fingerprint(fingerprint(load_graph(src), args.k), args.out)
+        save_fingerprint(_fingerprint_files([src], args.k)[0], args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -118,7 +155,7 @@ def _cmd_fingerprint(args) -> int:
 def _build_matrix(manifest_path, metric, k):
     rows = corpus_mod.read_manifest(manifest_path)
     ids = [r[0] for r in rows]
-    fps = [fingerprint(load_graph(r[1]), k) for r in rows]
+    fps = _fingerprint_files([r[1] for r in rows], k)
     return distance_mod.distance_matrix(fps, metric, ids=ids)
 
 

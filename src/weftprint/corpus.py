@@ -69,6 +69,8 @@ class CategorySpec:
                              "commas or line breaks")
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"category {self.name!r}: seed must be >= 0")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"category {self.name!r}: grid dimensions must be >= 1")
         for field_name in ("perturb_fraction", "perturb_rate", "transform_fraction"):
@@ -99,6 +101,8 @@ class CorpusSpec:
             raise ValueError("category names must be unique")
         if not self.categories:
             raise ValueError("corpus spec needs at least one category")
+        if self.seed < 0:
+            raise ValueError("corpus: seed must be >= 0")
 
 
 class CorpusItem(NamedTuple):

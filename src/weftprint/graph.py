@@ -61,6 +61,11 @@ class InvalidGraphError(ValueError):
         more = f" (+{len(self.violations) - 3} more)" if len(self.violations) > 3 else ""
         super().__init__(f"invalid graph: {shown}{more}")
 
+    def __reduce__(self):
+        # ``args`` holds the formatted message; rebuild from the violations,
+        # so that a pickled copy, one sent between processes say, reads the same.
+        return type(self), (self.violations,)
+
 
 @dataclass(frozen=True, eq=False)
 class TextileGraph:

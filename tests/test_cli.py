@@ -1,9 +1,15 @@
 import json
+import multiprocessing
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import pytest
 
 from weftprint.cli import main
+from weftprint.distance import METRICS
 from weftprint.graph import save_graph
 from weftprint.weaves import grid_to_graph, plain_weave
 
@@ -88,6 +94,18 @@ class TestGenerate:
         spec.write_text(text, encoding="utf-8")
         assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
         assert re.search(f"^weftprint generate: error: {message}$", capsys.readouterr().err, re.MULTILINE)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("[corpus]\nseed = -3\n\n[a]\nkind = plain\n", [], "corpus: seed must be >= 0"),
+        ("[a]\nkind = plain\nseed = -3\n", [], "category 'a': seed must be >= 0"),
+        ("[a]\nkind = plain\n", ["--seed", "-3"], "corpus: seed must be >= 0"),
+    ], ids=["spec_seed", "category_seed", "seed_flag"])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, text, flags, message):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text)
+        assert main([*flags, "generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"weftprint generate: error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -304,3 +322,91 @@ class TestExitCodes:
 
         parsed = load_corpus_spec(spec)
         assert len(parsed.categories) == 9
+
+
+# A graph that parses but breaks the model: next(0) = 4, but next(4) is terminal.
+ASYMMETRIC_TG = ("crossings 2\n0 4 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n"
+                 "4 -1 1 5\n5 -1 1 4\n6 -1 0 7\n7 -1 0 6\n")
+
+
+def main_on_cpus(cpus, argv):
+    """``main(argv)`` as seen on a host with ``cpus`` available CPUs."""
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+         mock.patch.object(multiprocessing, "get_context", wraps=multiprocessing.get_context) as get_context:
+        code = main(argv)
+    assert get_context.called == (cpus > 1)  # the pool ran exactly when two CPUs were offered
+    return code
+
+
+def _worker_dies(path, k):
+    os._exit(3)  # as when the kernel kills a worker
+
+
+def _no_answer(signum, frame):
+    raise TimeoutError("the command went on waiting for a dead worker")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool needs the affinity call")
+class TestFingerprintPool:
+    def test_fingerprint_files_are_identical_on_one_and_two_cpus(self, tiny_corpus, tmp_path):
+        written = []
+        for cpus in (1, 2):
+            out = tmp_path / f"fps{cpus}"
+            assert main_on_cpus(cpus, ["fingerprint", "--in", str(tiny_corpus.parent), "--k", "3",
+                                       "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(written[0]) == 8
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_distance_csv_is_identical_on_one_and_two_cpus(self, tiny_corpus, tmp_path, metric):
+        written = []
+        for cpus in (1, 2):
+            out = tmp_path / f"d{cpus}.csv"
+            assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(tiny_corpus), "--metric", metric,
+                                       "--k", "3", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_broken_file_in_input_order_is_named(self, tiny_corpus, tmp_path, capsys, cpus):
+        corpus = tiny_corpus.parent
+        (corpus / "plain-001.tg").write_text("crossings 1\n0 x-1 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n")
+        (corpus / "warped-002.tg").write_text(ASYMMETRIC_TG)
+        unparsed = "line 2, column 3: next index is not an integer: 'x-1'"
+        invalid = "invalid graph: node 0: asymmetric thread link (next(0)=4, next(4)=-1)"
+        reversed_manifest = corpus / "reversed.csv"
+        lines = read(tiny_corpus).splitlines()
+        reversed_manifest.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n")
+        # sorted directory order meets plain-001 first; the reversed manifest meets warped-002 first
+        assert main_on_cpus(cpus, ["fingerprint", "--in", str(corpus), "--k", "2", "--out", str(tmp_path / "fps")]) == 2
+        assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
+                                   "--k", "2", "--out", str(tmp_path / "d.csv")]) == 2
+        assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(reversed_manifest), "--metric", "jaccard",
+                                   "--k", "2", "--out", str(tmp_path / "d.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"weftprint fingerprint: error: {corpus / 'plain-001.tg'}: {unparsed}",
+            f"weftprint distmatrix: error: {corpus / 'plain-001.tg'}: {unparsed}",
+            f"weftprint distmatrix: error: {corpus / 'warped-002.tg'}: {invalid}",
+        ]
+        assert not (tmp_path / "fps").exists()  # no .fp file is written unless every graph is good
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bad_depth_names_no_file(self, tiny_corpus, tmp_path, capsys, cpus):
+        assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
+                                   "--k", "0", "--out", str(tmp_path / "d.csv")]) == 2
+        assert capsys.readouterr().err == "weftprint distmatrix: error: walk depth k must be >= 1, got 0\n"
+
+    def test_dead_worker_fails_the_command(self, tiny_corpus, tmp_path):
+        # a worker that dies fails the command, where a multiprocessing.Pool would wait forever
+        previous = signal.signal(signal.SIGALRM, _no_answer)
+        signal.alarm(60)
+        try:
+            with mock.patch("weftprint.cli._fingerprint_file", _worker_dies), pytest.raises(BrokenProcessPool):
+                main_on_cpus(2, ["fingerprint", "--in", str(tiny_corpus.parent), "--k", "2",
+                                 "--out", str(tmp_path / "fps")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not (tmp_path / "fps").exists()

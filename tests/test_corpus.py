@@ -135,6 +135,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="line breaks"):
             parse_corpus_spec("[a\rb]\nkind = plain\n")
 
+    def test_negative_seeds_rejected(self):
+        # numpy's SeedSequence would refuse them only at generation, naming no place
+        with pytest.raises(ValueError, match=r"^category 'x': seed must be >= 0$"):
+            CategorySpec(name="x", kind="plain", count=1, width=2, height=2, seed=-3)
+        cat = CategorySpec(name="x", kind="plain", count=1, width=2, height=2, seed=0)
+        with pytest.raises(ValueError, match=r"^corpus: seed must be >= 0$"):
+            CorpusSpec((cat,), seed=-1)
+        with pytest.raises(ValueError, match=r"^category 'a': seed must be >= 0$"):
+            parse_corpus_spec("[a]\nkind = plain\nseed = -3\n")
+        with pytest.raises(ValueError, match=r"^corpus: seed must be >= 0$"):
+            parse_corpus_spec("[corpus]\nseed = -3\n\n[a]\nkind = plain\n")
+
     def test_category_names_unique(self):
         cat = CategorySpec(name="x", kind="plain", count=1, width=2, height=2)
         with pytest.raises(ValueError, match="unique"):

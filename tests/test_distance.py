@@ -451,7 +451,7 @@ def distance_csv_texts(draw):
         elif edit == "add_column":
             for other in rows[1:]:
                 other.append(draw(st.sampled_from(PLAIN_CELLS)))
-        elif edit == "row_id":
+        elif edit == "row_id" and row:  # two drop_cell edits can empty a row
             row[0] = draw(st.sampled_from(["g9", "id", ""] + ids))
         elif edit == "drop_row" and len(rows) > 1:
             rows.remove(row)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,16 @@ class TestParse:
         )
         with pytest.raises(InvalidGraphError, match="asymmetric"):
             parse_graph(text)
+
+    def test_errors_survive_pickling(self):
+        # an error sent between processes goes pickled
+        invalid = InvalidGraphError(["node 0: a", "node 1: b", "node 2: c", "node 3: d"])
+        back = pickle.loads(pickle.dumps(invalid))
+        assert (type(back), str(back), back.violations) == (InvalidGraphError, str(invalid), invalid.violations)
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("crossings ss\n")
+        back = pickle.loads(pickle.dumps(err.value))
+        assert (type(back), str(back), back.line, back.column) == (GraphParseError, str(err.value), 1, 11)
 
 
 class TestSerialize:
