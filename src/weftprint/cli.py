@@ -5,7 +5,7 @@ spec file, ``fingerprint`` graphs, build a ``distmatrix``, ``cluster`` and
 ``retrieve`` against a ground-truth manifest, and ``bench`` run times.
 All outputs are plain text or CSV and are byte-identical across re-runs.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error.
+Exit codes: 0 success, 1 usage error, 2 data, validation or I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
+from . import pipeline
 from .fingerprint import Fingerprint, fingerprint, save_fingerprint
 from .graph import _DECIMAL, load_graph
 
@@ -91,11 +92,15 @@ def _load_labels(manifest_path) -> dict[str, str]:
     return {item_id: category for item_id, _, category in corpus_mod.read_manifest(manifest_path)}
 
 
-def _cmd_generate(args) -> int:
+def _load_spec(args) -> corpus_mod.CorpusSpec:
     spec = corpus_mod.load_corpus_spec(args.spec)
     if args.seed is not None:
         spec = corpus_mod.CorpusSpec(spec.categories, seed=args.seed)
-    manifest = corpus_mod.write_corpus(corpus_mod.generate_corpus(spec), args.out_dir)
+    return spec
+
+
+def _cmd_generate(args) -> int:
+    manifest = corpus_mod.write_corpus(corpus_mod.generate_corpus(_load_spec(args)), args.out_dir)
     print(f"wrote {manifest}")
     return 0
 
@@ -122,15 +127,18 @@ def _fingerprint_files(paths, k) -> list[Fingerprint]:
         # Imported here: at module level they add ~1.5 MB and ~15 ms to the
         # start of every command, pooled or not.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
             # Executor.map yields in input order and raises there, whichever
             # worker failed first; a worker that dies breaks the pool, where a
             # multiprocessing.Pool would wait for its lost chunk forever.
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                chunk = -(-len(paths) // (4 * workers))  # Pool.map's default: four chunks per worker
-                return list(pool.map(_fingerprint_file, paths, itertools.repeat(k), chunksize=chunk))
+            try:
+                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                    chunk = -(-len(paths) // (4 * workers))  # Pool.map's default: four chunks per worker
+                    return list(pool.map(_fingerprint_file, paths, itertools.repeat(k), chunksize=chunk))
+            except BrokenProcessPool:  # an OSError, so main reports it as a data error
+                raise ChildProcessError("a worker process died before it fingerprinted its files") from None
     return [_fingerprint_file(path, k) for path in paths]
 
 
@@ -201,7 +209,7 @@ def _parse_k_range(text: str) -> range:
 
 
 def _cmd_bench(args) -> int:
-    spec = corpus_mod.load_corpus_spec(args.spec)
+    spec = _load_spec(args)
     k_values = _parse_k_range(args.k_range)
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     if not metrics:
@@ -212,10 +220,8 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be >= 1")
     corpus = corpus_mod.generate_corpus(spec)
-    ids = [item.id for item in corpus]
-    graphs = [item.graph for item in corpus]
-    for g in graphs:
-        g._thread_arrays()  # exclude one-time array conversion from timings
+    for item in corpus:
+        item.graph._thread_arrays()  # exclude one-time array conversion from timings
 
     lines = ["metric,k,seconds"]
     for k in k_values:
@@ -223,8 +229,7 @@ def _cmd_bench(args) -> int:
             samples = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                fps = [fingerprint(g, k) for g in graphs]
-                distance_mod.distance_matrix(fps, metric, ids=ids)
+                pipeline.corpus_distance_matrix(corpus, k, metric)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

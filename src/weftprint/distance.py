@@ -38,15 +38,11 @@ INTEGER_METRICS = ("hbool", "hfreq")
 _EMPTY_JACCARD = "jaccard distance is undefined on empty fingerprints"
 
 
-def jaccard_distance(r: Mapping, s: Mapping, multiset: bool = True) -> float:
-    """Multiset Jaccard distance; ``multiset=False`` ignores counts."""
+def jaccard_distance(r: Mapping, s: Mapping) -> float:
+    """Multiset Jaccard distance."""
     if not r and not s:
         raise ValueError(_EMPTY_JACCARD)
     small, large = (r, s) if len(r) <= len(s) else (s, r)
-    if not multiset:
-        inter = sum(1 for p in small if p in large)
-        union = len(r) + len(s) - inter
-        return 1.0 - inter / union
     inter_min = sum(min(c, large[p]) for p, c in small.items() if p in large)
     union = sum(r.values()) + sum(s.values()) - inter_min
     if union == 0:  # keys present, but every count is zero
@@ -158,18 +154,17 @@ def pair_distance(r: Mapping, s: Mapping, metric: str, stats: CorpusStats | None
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 
-def _check_distances(ids, values: np.ndarray) -> None:
-    """Raise ``ValueError`` on the first non-finite or negative cell, by row, id and column."""
-    bad = np.argwhere(~(np.isfinite(values) & (values >= 0)))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"distance matrix row {i + 1} ({ids[i]!r}): distances must be finite and >= 0, "
+def _refuse(ids, values: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise ``ValueError`` on the first cell ``bad`` marks, in row-major order, by row, id and column."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"distance matrix row {i + 1} ({ids[i]!r}): distances must be {rule}, "
                          f"got {values[i, j]} in column {ids[j]!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric pairwise distances with their row/column ids; every cell is finite and >= 0."""
+    """Exactly symmetric distances with their row/column ids; cells are finite, >= 0 and whole under hbool/hfreq."""
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -190,7 +185,13 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix shape {values.shape} does not match {len(self.ids)} ids")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("distance matrix ids must be unique")
-        _check_distances(self.ids, values)
+        _refuse(self.ids, values, ~(np.isfinite(values) & (values >= 0)), "finite and >= 0")
+        _refuse(self.ids, values, values != values.T, "symmetric")
+        if self.metric in INTEGER_METRICS:
+            fractional = np.empty(values.shape, dtype=bool)
+            for row, out in zip(values, fractional):  # row by row: no n*n float temporary
+                np.not_equal(np.rint(row), row, out=out)
+            _refuse(self.ids, values, fractional, f"whole numbers under {self.metric}")
         values.flags.writeable = False
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", values)
@@ -333,9 +334,9 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     ``csv.writer`` spells each id, so Python's own rule decides its quoting;
     its CR LF row end makes it quote a CR in an id as it quotes an LF.
     Each row is one ``%`` format of one matrix row: ``%.12g`` is
-    ``format(x, ".12g")``, and ``%d`` of an ``np.rint`` float (half to even,
-    as ``round()``) is exact at any size.  Rows are converted one at a
-    time, so no n*n list of Python objects is held.
+    ``format(x, ".12g")``, and ``%d`` of a whole float, which is all an
+    integer metric's matrix holds, is exact at any size.  Rows are
+    converted one at a time, so no n*n list of Python objects is held.
     """
     import csv
     import io
@@ -345,12 +346,9 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
         quoted.append(buf.getvalue()[:-3])
-    if dm.metric in INTEGER_METRICS:
-        fmt, rows = ",%d" * len(quoted), map(np.rint, dm.values)
-    else:
-        fmt, rows = ",%.12g" * len(quoted), dm.values
+    fmt = (",%d" if dm.metric in INTEGER_METRICS else ",%.12g") * len(quoted)
     lines = [",".join(["id", *quoted]) + "\n"]
-    lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, rows)]
+    lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, dm.values)]
     return "".join(lines)
 
 

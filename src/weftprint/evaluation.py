@@ -79,14 +79,11 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
     keeps the smaller one.  Mean pairwise distances are maintained
     incrementally as size-weighted averages, equal to the from-scratch
     mean up to rounding.  Ties between equal stored means resolve to the
-    smallest (rep_i, rep_j) pair.  Only the upper triangle of ``dm`` is
-    read.  Each row's minimum is cached, so a merge costs O(n) plus a
-    rescan of the rows whose minimum it moved.
+    smallest (rep_i, rep_j) pair.  Each row's minimum is cached, so a
+    merge costs O(n) plus a rescan of the rows whose minimum it moved.
     """
     n = len(dm.ids)
     d = np.array(dm.values, dtype=np.float64)
-    lower = np.tril_indices(n, -1)
-    d[lower] = d.T[lower]  # mirror the upper triangle
     np.fill_diagonal(d, np.inf)
     sizes = np.ones(n)
     # Each row's minimum and the first column holding it; a merged-away
@@ -296,15 +293,14 @@ def curves_to_csv(curves: RetrievalCurves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cluster_report_json(scores: ClusterScores, partition: Partition | None = None) -> str:
+def cluster_report_json(scores: ClusterScores, partition: Partition) -> str:
     report = {
         "RI": round(scores.rand_index, 6),
         "P": round(scores.precision, 6),
         "R": round(scores.recall, 6),
         "F": round(scores.f_measure, 6),
+        "clusters": dict(partition.assignment),
     }
-    if partition is not None:
-        report["clusters"] = dict(partition.assignment)
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

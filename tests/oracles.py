@@ -255,9 +255,9 @@ def naive_curves(dm, labels, levels):
 
 
 def format_distance(x, metric):
-    """One distance cell: integer metrics unpadded, the rest with 12 significant digits."""
+    """One distance cell: an integer metric's whole value unpadded, the rest with 12 significant digits."""
     if metric in INTEGER_METRICS:
-        return str(int(round(x)))
+        return str(int(x))
     return format(x, ".12g")
 
 

@@ -3,11 +3,11 @@ import multiprocessing
 import os
 import re
 import signal
-from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
 import pytest
 
+from weftprint import corpus as corpus_mod
 from weftprint.cli import main
 from weftprint.distance import METRICS
 from weftprint.graph import save_graph
@@ -216,6 +216,20 @@ def test_bad_distance_cell_is_data_error(tiny_corpus, tmp_path, capsys, command,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "retrieve"])
+def test_asymmetric_distance_csv_is_data_error(tiny_corpus, tmp_path, capsys, command):
+    # UPGMA would read d(a,c) = 5 from the upper triangle and retrieval 0.5 from row c
+    dist = tmp_path / "asymmetric.csv"
+    dist.write_text("id,a,b,c\na,0,1,5\nb,9,0,2\nc,0.5,7,3\n", encoding="utf-8")
+    outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
+               "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
+    assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2
+    assert capsys.readouterr().err == (f"weftprint {command}: error: distance matrix row 1 ('a'): "
+                                       "distances must be symmetric, got 1.0 in column 'b'\n")
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize(
     "row",
     [f"a,g.tg,{'x' * 140_000}", "a,g.tg,x\ry", 'a,g.tg,"x', 'a,g.tg,"x"y'],
@@ -249,6 +263,16 @@ class TestBench:
         assert all(v > 0 for v in seconds.values())
         # coarse k-scaling check on the endpoints
         assert seconds[("jaccard", 4)] >= seconds[("jaccard", 1)]
+
+    def test_seed_flag_replaces_the_spec_seed(self, tmp_path):
+        # generate and bench read the spec the same way: --seed 99 replaces the spec's seed 3
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        with mock.patch.object(corpus_mod, "generate_corpus", wraps=corpus_mod.generate_corpus) as spy:
+            assert main(["--seed", "99", "bench", "--spec", str(spec), "--k-range", "1..1",
+                         "--repeats", "1", "--out", str(tmp_path / "b.csv")]) == 0
+            assert main(["--seed", "99", "generate", "--spec", str(spec), "--out-dir", str(tmp_path / "c")]) == 0
+        assert [call.args[0].seed for call in spy.call_args_list] == [99, 99]
 
     def test_bad_k_range_is_data_error(self, tmp_path):
         spec = tmp_path / "spec.ini"
@@ -398,15 +422,18 @@ class TestFingerprintPool:
                                    "--k", "0", "--out", str(tmp_path / "d.csv")]) == 2
         assert capsys.readouterr().err == "weftprint distmatrix: error: walk depth k must be >= 1, got 0\n"
 
-    def test_dead_worker_fails_the_command(self, tiny_corpus, tmp_path):
+    def test_dead_worker_fails_the_command(self, tiny_corpus, tmp_path, capsys):
         # a worker that dies fails the command, where a multiprocessing.Pool would wait forever
         previous = signal.signal(signal.SIGALRM, _no_answer)
         signal.alarm(60)
         try:
-            with mock.patch("weftprint.cli._fingerprint_file", _worker_dies), pytest.raises(BrokenProcessPool):
-                main_on_cpus(2, ["fingerprint", "--in", str(tiny_corpus.parent), "--k", "2",
-                                 "--out", str(tmp_path / "fps")])
+            with mock.patch("weftprint.cli._fingerprint_file", _worker_dies):
+                code = main_on_cpus(2, ["fingerprint", "--in", str(tiny_corpus.parent), "--k", "2",
+                                        "--out", str(tmp_path / "fps")])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "weftprint fingerprint: error: a worker process died before it fingerprinted its files\n")
         assert not (tmp_path / "fps").exists()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weftprint import distance
 from weftprint.distance import (
+    INTEGER_METRICS,
     METRICS,
     CorpusStats,
     DistanceMatrix,
@@ -61,10 +62,6 @@ class TestJaccard:
 
     def test_one_empty_side(self):
         assert jaccard_distance(R, Counter()) == 1.0
-
-    def test_set_variant_ignores_counts(self):
-        assert jaccard_distance(R, S, multiset=False) == pytest.approx(0.5)
-        assert jaccard_distance(Counter({"p": 99}), Counter({"p": 1}), multiset=False) == 0.0
 
 
 class TestHamming:
@@ -201,6 +198,23 @@ class TestDistanceMatrix:
         message = r"^distance matrix row 1 \('a'\): distances must be finite and >= 0, got .* in column 'b'$"
         with pytest.raises(ValueError, match=message):
             DistanceMatrix(("a", "b"), [[0, cell], [cell, 0]])
+
+    @pytest.mark.parametrize("metric", METRICS + ("",))
+    def test_matrix_must_be_symmetric(self, metric):
+        message = r"^distance matrix row 1 \('a'\): distances must be symmetric, got 5.0 in column 'c'$"
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(("a", "b", "c"), [[0, 1, 5], [1, 0, 2], [4, 2, 0]], metric)
+
+    @pytest.mark.parametrize("metric", INTEGER_METRICS)
+    def test_integer_metrics_hold_whole_numbers(self, metric):
+        rule = f"distances must be whole numbers under {metric}"
+        message = rf"^distance matrix row 1 \('a'\): {rule}, got 0.5 in column 'b'$"
+        with pytest.raises(ValueError, match=message):
+            DistanceMatrix(("a", "b"), [[0, 0.5], [0.5, 0]], metric)
+        with pytest.raises(ValueError, match=r"whole numbers .* got 2.5 in column 'a'$"):
+            DistanceMatrix(("a", "b"), [[2.5, 1], [1, 0]], metric)  # the diagonal too: the writer spells it
+        assert DistanceMatrix(("a", "b"), [[0, 2.0**64], [2.0**64, 0]], metric).values[0, 1] == 2.0**64
+        DistanceMatrix(("a", "b"), [[0, 0.5], [0.5, 0]], "jaccard")
 
     def test_identical_fingerprints_all_zero(self):
         for metric in ("jaccard", "hbool", "hfreq", "cosine"):
@@ -388,7 +402,9 @@ class TestDistanceCsv:
         message = r"row 2 \('b'\): distances must be finite and >= 0, got .* in column 'a'"
         with pytest.raises(ValueError, match=message):
             csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
-        for metric in ("jaccard", "hbool"):  # the writer refuses what the reader refuses
+        # the writer refuses what the reader refuses; the cell is asymmetric too, and the range
+        # message comes first under every metric
+        for metric in METRICS:
             with pytest.raises(ValueError, match=message):
                 distance_matrix_to_csv(DistanceMatrix(("a", "b"), [[0, 1], [float(cell), 0]], metric))
 
@@ -403,8 +419,8 @@ class TestDistanceCsv:
             csv_to_distance_matrix(text)
 
     def test_decimal_spellings_load(self):
-        dm = csv_to_distance_matrix("id,a,b,c\na,0,1e-05,0.5\nb,+1,-0,12\nc,.5,5.,1E+2\n")
-        assert dm.values.tolist() == [[0, 1e-05, 0.5], [1, 0, 12], [0.5, 5, 100]]
+        dm = csv_to_distance_matrix("id,a,b,c\na,-0,1e-05,0.5\nb,1E-5,5.,12\nc,.5,+12,1E+2\n")
+        assert dm.values.tolist() == [[0, 1e-05, 0.5], [1e-05, 5, 12], [0.5, 12, 100]]
 
     def test_written_text_takes_the_fast_path(self, desk_fingerprints):
         rng = np.random.default_rng(9)
@@ -435,11 +451,17 @@ def _field(text: str, quoting: str, is_id: bool) -> str:
 
 @st.composite
 def distance_csv_texts(draw):
-    """Distance CSV text, plainly written and then mutated in ways the csv reader tolerates or not."""
+    """Distance CSV text, plainly written and then mutated in ways the csv reader tolerates or not.
+
+    The cell table starts symmetric, so no refusal comes from its cells alone.
+    """
     n = draw(st.integers(1, 4))
     ids = draw(st.lists(st.sampled_from([f"g{i}" for i in range(6)] + ODD_IDS), min_size=n, max_size=n))
-    rows = [["id", *ids]] + [[row_id, *draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=n, max_size=n))]
-                             for row_id in ids]
+    cells = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            cells[i][j] = cells[j][i] = draw(st.sampled_from(PLAIN_CELLS))
+    rows = [["id", *ids]] + [[row_id, *row] for row_id, row in zip(ids, cells)]
     for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
         row = rows[draw(st.integers(1, len(rows) - 1))] if len(rows) > 1 else rows[0]
         if edit == "odd_cell" and len(row) > 1:
@@ -497,14 +519,21 @@ WRITER_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3, 0
 
 @st.composite
 def distance_matrix_parts(draw):
-    """``(ids, values, metric)`` with odd ids, rounding cases, huge cells and the cells a matrix refuses."""
+    """``(ids, values, metric)`` with odd ids, halves, huge cells and the cells a matrix refuses.
+
+    The cells are symmetric, and whole numbers for the integer metrics, so
+    the writers meet every matrix that can be made.
+    """
     n = draw(st.integers(0, 4))
     ids = draw(st.lists(st.sampled_from(WRITER_IDS), min_size=n, max_size=n, unique=True))
     cell = st.one_of(st.sampled_from(WRITER_CELLS), st.integers(0, 40).map(lambda k: k / 2),
                      st.floats(0, 2.0**64), st.floats(allow_nan=False, allow_infinity=False))
-    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    cells = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n)), dtype=np.float64).reshape(n, n)
+    cells = np.where(np.triu(np.ones((n, n), dtype=bool)), cells, cells.T)  # keeps -0.0 and nan bits
     metric = draw(st.sampled_from(METRICS + ("",)))
-    return tuple(ids), np.array(cells, dtype=np.float64).reshape(n, n), metric
+    if metric in INTEGER_METRICS:
+        cells = np.trunc(cells)
+    return tuple(ids), cells, metric
 
 
 class TestCsvFastWriter:
@@ -512,7 +541,8 @@ class TestCsvFastWriter:
     @given(distance_matrix_parts())
     @example(((), np.zeros((0, 0)), "hbool"))
     @example((("x,y", "b"), [[0, 1], [1, 0]], "jaccard"))
-    @example((("a", "b"), [[0.5, 1.5], [2.5, 2.0**63]], "hbool"))
+    @example((("a", "b"), [[2.0**53 + 2, 2.0**63], [2.0**63, 2.0**64]], "hbool"))
+    @example((("a", "b"), [[0.5, 1.5], [1.5, 2.5]], "jaccard"))
     @example((("",), [[0]], "jaccard"))
     @example((("a", "b"), [[-0.0, 1], [1, 0]], "hbool"))
     @example((("a", "b"), [[0, 2.0**70], [2.0**70, 0]], "hfreq"))

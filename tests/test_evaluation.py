@@ -314,28 +314,20 @@ class TestInterpolatedCurves:
 
 @st.composite
 def labeled_matrices(draw):
-    """Small matrices: tie-heavy integers, random floats, or floats with unrelated triangles.
+    """Small symmetric matrices: tie-heavy integers or random floats.
 
     Ids are a shuffled permutation, so index order and id order differ.
     """
     n = draw(st.integers(2, 9))
-    kind = draw(st.sampled_from(["ties", "float", "asymmetric"]))
-    if kind == "ties":
+    if draw(st.booleans()):  # tie-heavy
         values = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), dtype=float)
     else:
         values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n * n)
     values = values.reshape(n, n)
-    if kind != "asymmetric":
-        values = np.triu(values, 1) + np.triu(values, 1).T
-    np.fill_diagonal(values, 0.0)
+    values = np.triu(values, 1) + np.triu(values, 1).T
     ids = draw(st.permutations([f"g{i}" for i in range(n)]))
     labels = {item: f"c{draw(st.integers(0, 2))}" for item in ids}
     return DistanceMatrix(tuple(ids), values), labels
-
-
-def upper_mirrored(dm):
-    upper = np.triu(dm.values, 1)
-    return DistanceMatrix(dm.ids, upper + upper.T)
 
 
 class TestAgainstOracles:
@@ -345,14 +337,13 @@ class TestAgainstOracles:
         dm, _ = case
         ours = upgma_merges(dm)
         assert ours == loop_upgma_merges(dm)
-        assert ours == upgma_merges(upper_mirrored(dm))
         upper = dm.values[np.triu_indices(len(dm.ids), 1)]
         if len(set(upper.tolist())) < len(upper):
             # Equal means computed along different paths can round apart, so
             # the from-scratch oracle may break a tie differently; the loop
             # oracle above pins the tie-heavy cases bit for bit.
             return
-        reference = naive_upgma_merges(upper_mirrored(dm))
+        reference = naive_upgma_merges(dm)
         assert [(i, j) for i, j, _ in ours] == [(i, j) for i, j, _ in reference]
         for (_, _, d_ours), (_, _, d_ref) in zip(ours, reference):
             assert d_ours == pytest.approx(d_ref, abs=1e-12)
