@@ -399,8 +399,8 @@ def _csv_rows(text: str):
     import io
 
     try:
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    except csv.Error as exc:  # a field over the size limit, or a bare CR inside one
+        rows = [r for r in csv.reader(io.StringIO(text), strict=True) if r]
+    except csv.Error as exc:  # malformed quoting, a field over the size limit, or a bare CR inside one
         raise ValueError(f"distance CSV: {exc}") from None
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError("distance CSV must start with an 'id,...' header row")

@@ -263,12 +263,8 @@ def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> Retrie
         best_from_right = np.maximum.accumulate(precision[::-1])[::-1]
         first_at_level = np.searchsorted(hits / m, RECALL_LEVELS, side="left")
         interp_p = best_from_right[first_at_level]
-        with np.errstate(invalid="ignore"):
-            interp_f = np.where(
-                interp_p + RECALL_LEVELS > 0,
-                2 * interp_p * RECALL_LEVELS / (interp_p + RECALL_LEVELS),
-                0.0,
-            )
+        # interp_p > 0 at every level: at level 0 it is the best precision, which m >= 1 makes positive
+        interp_f = 2 * interp_p * RECALL_LEVELS / (interp_p + RECALL_LEVELS)
         precision_sum += interp_p
         f_sum += interp_f
         ap_sum += ap

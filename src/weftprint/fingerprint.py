@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .graph import _DECIMAL, TextileGraph
+from .graph import GraphParseError, TextileGraph, _fields, _int_field, _significant_lines
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -255,25 +255,25 @@ def fingerprint_to_text(fp: Fingerprint) -> str:
 
 
 def text_to_fingerprint(text: str) -> Fingerprint:
+    """Parse ``.fp`` text; lines and fields follow the ``.tg`` rule, and errors carry their line and column."""
     fp: Counter = Counter()
     key_length = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, raw, line in _significant_lines(text):
+        fields = _fields(raw)
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected '<key> <count>', got {line!r}")
-        if not _DECIMAL.fullmatch(fields[1]):
-            raise ValueError(f"line {lineno}: count is not an integer: {fields[1]!r}")
-        count = int(fields[1])
+            raise GraphParseError(f"expected '<key> <count>', got {line!r}", lineno)
+        (key_token, key_col), (count_token, count_col) = fields
+        count = _int_field(count_token, lineno, count_col, "count")
         if count < 1:
-            raise ValueError(f"line {lineno}: count must be >= 1, got {count}")
-        key = parse_neighborhood(fields[0])
+            raise GraphParseError(f"count must be >= 1, got {count}", lineno, count_col)
+        try:
+            key = parse_neighborhood(key_token)
+        except ValueError as exc:
+            raise GraphParseError(str(exc), lineno, key_col) from None
         if key_length is None:
             key_length = len(key)
         elif len(key) != key_length:
-            raise ValueError(f"line {lineno}: neighborhood depth differs from earlier lines")
+            raise GraphParseError("neighborhood depth differs from earlier lines", lineno, key_col)
         fp[key] += count
     return fp
 

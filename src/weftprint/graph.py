@@ -162,26 +162,17 @@ def validate(g: TextileGraph) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
+    # The four rules below make each node's opposite the other node of its level in its crossing,
+    # so opposite is an involution that pairs the two top nodes: neither needs a rule of its own.
     for i in idx[opp == idx]:
         out.append(f"node {i}: opposite link points at itself")
     for i in idx[opp // 4 != idx // 4]:
         out.append(f"node {i}: opposite node {opp[i]} lies in a different crossing")
-    bad_involution = (opp[opp] != idx) & (opp != idx)
-    for i in idx[bad_involution]:
-        out.append(f"node {i}: opposite link is not an involution (opposite({i})={opp[i]}, opposite({opp[i]})={opp[opp[i]]})")
     for i in idx[top != top[opp]]:
         out.append(f"node {i}: on_top differs from its opposite node {opp[i]}")
-
-    tops = top.reshape(-1, 4)
-    tops_per_block = tops.sum(axis=1)
+    tops_per_block = top.reshape(-1, 4).sum(axis=1)
     for c in np.nonzero(tops_per_block != 2)[0]:
         out.append(f"crossing {c}: top-edge count != 2 (found {tops_per_block[c]})")
-    # The two top nodes must be the same thread, i.e. opposite partners.
-    # With exactly two tops, the first top slot's partner must be the last.
-    first = idx[::4] + tops.argmax(axis=1)
-    last = idx[3::4] - tops[:, ::-1].argmax(axis=1)
-    for c in np.nonzero((tops_per_block == 2) & (opp[first] != last))[0]:
-        out.append(f"crossing {c}: top nodes {first[c]} and {last[c]} are not opposite partners")
 
     out_of_range = (nxt < TERMINAL) | (nxt >= size)
     for i in idx[out_of_range]:
@@ -227,8 +218,10 @@ def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
 # Line-oriented, UTF-8:
 #   crossings <n>
 #   <id> <next> <top> <opp>        exactly 4n lines, id running 0..4n-1
-# '#' starts a comment line, blank lines are ignored, fields are
-# whitespace-separated.  next is -1 for a thread end.
+# '#' starts a comment line, blank lines are ignored.  Lines end at LF,
+# CR LF or CR only, as open() translates them; fields are separated by
+# ASCII spaces and tabs.  The .fp reader shares this rule.  next is -1 for
+# a thread end.
 
 _FORMAT_COMMENT = "# weftprint graph format 1"
 
@@ -241,21 +234,22 @@ _CANONICAL = re.compile(
     rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n"
     rf"((?:{_INT} (?:-1|{_INT}) [01] {_INT}\n)*)"
 )
-_TOKEN = re.compile(r"\S+")
+_LINE_END = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at FF, VT, NEL, U+2028
+_FIELD = re.compile(r"[^ \t]+")  # \S+ would also split at NBSP
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
 
 
 def _significant_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
+        stripped = raw.strip(" \t")
         if not stripped or stripped.startswith("#"):
             continue
         yield lineno, raw, stripped
 
 
 def _fields(raw):
-    """Whitespace-separated tokens of a line, each with its 1-based column."""
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw)]
+    """Space- and tab-separated tokens of a line, each with its 1-based column."""
+    return [(m.group(), m.start() + 1) for m in _FIELD.finditer(raw)]
 
 
 def _int_field(token, lineno, column, what):

@@ -167,12 +167,12 @@ def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:
         raise ValueError(f"{name} weave needs a seed")
     if name == "random":
         return random_weave(*args, w, h, seed)
-    pool_seed, choice_seed = np.random.SeedSequence(_seed_entropy(seed)).spawn(2)
+    if isinstance(seed, np.random.SeedSequence):  # a copy, so the caller's sequence spawns nothing
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        seed = np.random.SeedSequence(seed)
+    pool_seed, choice_seed = seed.spawn(2)
     return mixed_weave(*args, w, h, pool_seed, choice_seed)
-
-
-def _seed_entropy(seed):
-    return seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
 
 
 TRANSFORM_OPS = ("rotate90", "rotate180", "mirror")
@@ -227,34 +227,11 @@ def grid_to_graph(cells) -> TextileGraph:
     """
     m = _as_matrix(cells)
     h, w = m.shape
-    n = h * w
-    block = 4 * np.arange(n).reshape(h, w)
-
-    nxt = np.full(4 * n, TERMINAL, dtype=np.int64)
-    top = np.empty(4 * n, dtype=np.bool_)
-    opp = np.empty(4 * n, dtype=np.int64)
-
-    flat = m.reshape(-1)
-    top[0::4] = flat
-    top[1::4] = flat
-    top[2::4] = ~flat
-    top[3::4] = ~flat
-
-    base = 4 * np.arange(n)
-    opp[0::4] = base + 1
-    opp[1::4] = base
-    opp[2::4] = base + 3
-    opp[3::4] = base + 2
-
-    if h > 1:
-        upper = block[:-1, :] + 1   # warp slot 1 of (i, j)
-        lower = block[1:, :]        # warp slot 0 of (i+1, j)
-        nxt[upper.reshape(-1)] = lower.reshape(-1)
-        nxt[lower.reshape(-1)] = upper.reshape(-1)
-    if w > 1:
-        left = block[:, :-1] + 3    # weft slot 3 of (i, j)
-        right = block[:, 1:] + 2    # weft slot 2 of (i, j+1)
-        nxt[left.reshape(-1)] = right.reshape(-1)
-        nxt[right.reshape(-1)] = left.reshape(-1)
-
-    return _vouch(TextileGraph(nxt, top, opp))
+    node = np.arange(4 * h * w).reshape(h, w, 4)  # node index of slot s of crossing (i, j)
+    nxt = np.full((h, w, 4), TERMINAL, dtype=np.int64)
+    nxt[:-1, :, 1] = node[1:, :, 0]   # warp, down
+    nxt[1:, :, 0] = node[:-1, :, 1]   # warp, up
+    nxt[:, :-1, 3] = node[:, 1:, 2]   # weft, right
+    nxt[:, 1:, 2] = node[:, :-1, 3]   # weft, left
+    top = np.stack([m, m, ~m, ~m], -1)
+    return _vouch(TextileGraph(nxt.ravel(), top.ravel(), node.ravel() ^ 1))

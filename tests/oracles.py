@@ -7,7 +7,7 @@ cluster distance from the original matrix at every step.  The validation
 oracle checks crossing by crossing and link by link in Python loops, and
 the pair-counting oracle enumerates every unordered pair of items.  The
 distance-CSV oracle writes row by row through ``csv.writer``, one cell
-formatted at a time.
+formatted at a time.  The grid oracle lays out one crossing at a time.
 """
 
 import csv
@@ -97,22 +97,12 @@ def naive_validate(g):
         out.append(f"node {i}: opposite link points at itself")
     for i in idx[opp // 4 != idx // 4]:
         out.append(f"node {i}: opposite node {opp[i]} lies in a different crossing")
-    bad_involution = (opp[opp] != idx) & (opp != idx)
-    for i in idx[bad_involution]:
-        out.append(f"node {i}: opposite link is not an involution (opposite({i})={opp[i]}, opposite({opp[i]})={opp[opp[i]]})")
     for i in idx[top != top[opp]]:
         out.append(f"node {i}: on_top differs from its opposite node {opp[i]}")
-
-    tops_per_block = top.reshape(-1, 4).sum(axis=1)
-    for c in np.nonzero(tops_per_block != 2)[0]:
-        out.append(f"crossing {c}: top-edge count != 2 (found {tops_per_block[c]})")
     for c in range(g.crossing_count):
-        if tops_per_block[c] != 2:
-            continue
-        block = np.arange(4 * c, 4 * c + 4)
-        top_nodes = block[top[block]]
-        if opp[top_nodes[0]] != top_nodes[1]:
-            out.append(f"crossing {c}: top nodes {top_nodes[0]} and {top_nodes[1]} are not opposite partners")
+        found = int(top[4 * c:4 * c + 4].sum())
+        if found != 2:
+            out.append(f"crossing {c}: top-edge count != 2 (found {found})")
 
     out_of_range = (nxt < TERMINAL) | (nxt >= size)
     for i in idx[out_of_range]:
@@ -126,6 +116,52 @@ def naive_validate(g):
             out.append(f"node {i}: asymmetric thread link (next({i})={j}, next({j})={nxt[j]})")
 
     return tuple(out)
+
+
+def implied_partner_violations(g):
+    """The involution and top-partner rules, which ``graph.validate`` leaves out, node by node.
+
+    The rules it keeps imply both; tests use these two to show that leaving
+    them out refuses no fewer graphs.  Like ``validate``, they are not run
+    on a graph whose size or opposite indices are already refused.
+    """
+    size = g.node_count
+    opp, top = g.opposite.tolist(), g.on_top.tolist()
+    if size == 0 or size % 4 != 0 or not all(0 <= j < size for j in opp):
+        return ()
+    out = []
+    for i, j in enumerate(opp):
+        if j != i and opp[j] != i:
+            out.append(f"node {i}: opposite link is not an involution")
+    for c in range(g.crossing_count):
+        tops = [i for i in range(4 * c, 4 * c + 4) if top[i]]
+        if len(tops) == 2 and opp[tops[0]] != tops[1]:
+            out.append(f"crossing {c}: top nodes {tops[0]} and {tops[1]} are not opposite partners")
+    return tuple(out)
+
+
+def loop_grid_arrays(cells):
+    """``(next, top, opposite)`` of ``grid_to_graph(cells)``, built one crossing at a time.
+
+    Crossing ``(i, j)`` owns nodes ``b .. b+3`` with ``b = 4*(i*w + j)``:
+    slot 0 links up, slot 1 down, slot 2 left and slot 3 right, to the
+    facing slot of the neighbouring crossing, or ends at the grid's edge.
+    """
+    m = np.asarray(cells, dtype=bool)
+    h, w = m.shape
+    nxt, top, opp = [], [], []
+    for i in range(h):
+        for j in range(w):
+            b = 4 * (i * w + j)
+            nxt += [
+                b - 4 * w + 1 if i > 0 else TERMINAL,
+                b + 4 * w if i < h - 1 else TERMINAL,
+                b - 4 + 3 if j > 0 else TERMINAL,
+                b + 4 + 2 if j < w - 1 else TERMINAL,
+            ]
+            top += [bool(m[i, j])] * 2 + [not m[i, j]] * 2
+            opp += [b + 1, b, b + 3, b + 2]
+    return np.array(nxt, dtype=np.int64), np.array(top, dtype=np.bool_), np.array(opp, dtype=np.int64)
 
 
 def naive_upgma_merges(dm):

@@ -122,6 +122,12 @@ class TestFingerprint:
         assert main(["fingerprint", "--in", str(tiny_corpus.parent), "--k", "2", "--out", str(out)]) == 0
         assert len(list(out.glob("*.fp"))) == 8
 
+    def test_directory_without_graphs_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        assert main(["fingerprint", "--in", str(tmp_path / "empty"), "--k", "1", "--out", str(tmp_path / "fps")]) == 2
+        assert capsys.readouterr().err == f"weftprint fingerprint: error: no .tg files found in {tmp_path / 'empty'}\n"
+        assert not (tmp_path / "fps").exists()
+
     def test_invalid_graph_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.tg"
         bad.write_text("crossings 1\n0 -1 1 1\n")
@@ -230,6 +236,18 @@ def test_asymmetric_distance_csv_is_data_error(tiny_corpus, tmp_path, capsys, co
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "retrieve"])
+def test_text_after_a_closing_quote_is_data_error(tiny_corpus, tmp_path, capsys, command):
+    # a lax csv reader would load the id as ax
+    dist = tmp_path / "quoted.csv"
+    dist.write_text('id,"a"x,b\nax,0,1\nb,1,0\n', encoding="utf-8")
+    outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
+               "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
+    assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2
+    assert capsys.readouterr().err == f"weftprint {command}: error: distance CSV: ',' expected after '\"'\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "row",
     [f"a,g.tg,{'x' * 140_000}", "a,g.tg,x\ry", 'a,g.tg,"x', 'a,g.tg,"x"y'],
@@ -279,6 +297,21 @@ class TestBench:
         spec.write_text(TINY_SPEC)
         assert main(["bench", "--spec", str(spec), "--k-range", "4",
                      "--out", str(tmp_path / "b.csv")]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k-range", "0..2"], "--k-range needs 1 <= a <= b, got '0..2'"),
+        (["--k-range", "3..2"], "--k-range needs 1 <= a <= b, got '3..2'"),
+        (["--metrics", "jaccard,euclid"], "unknown metric 'euclid', expected one of " + str(METRICS)),
+        (["--repeats", "0"], "--repeats must be >= 1"),
+    ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats"])
+    def test_refused_values_are_data_errors(self, tmp_path, capsys, flags, message):
+        spec = tmp_path / "spec.ini"
+        spec.write_text(TINY_SPEC)
+        # a repeated flag's last value is the one argparse keeps
+        assert main(["bench", "--spec", str(spec), "--k-range", "1..2", "--repeats", "1", *flags,
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err == f"weftprint bench: error: {message}\n"
+        assert not (tmp_path / "b.csv").exists()
 
     def test_empty_metric_list_is_data_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.ini"

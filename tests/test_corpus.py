@@ -147,6 +147,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^corpus: seed must be >= 0$"):
             parse_corpus_spec("[corpus]\nseed = -3\n\n[a]\nkind = plain\n")
 
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (-1, -1)])
+    def test_grid_dimensions_must_be_positive(self, width, height):
+        with pytest.raises(ValueError, match=r"^category 'x': grid dimensions must be >= 1$"):
+            CategorySpec(name="x", kind="plain", count=1, width=width, height=height)
+
+    @pytest.mark.parametrize("text", ["", "[corpus]\nseed = 4\n"], ids=["empty", "corpus_only"])
+    def test_spec_needs_a_category(self, text):
+        with pytest.raises(ValueError, match="^corpus spec needs at least one category$"):
+            parse_corpus_spec(text)
+        with pytest.raises(ValueError, match="^corpus spec needs at least one category$"):
+            CorpusSpec(())
+
     def test_category_names_unique(self):
         cat = CategorySpec(name="x", kind="plain", count=1, width=2, height=2)
         with pytest.raises(ValueError, match="unique"):

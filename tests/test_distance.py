@@ -267,6 +267,29 @@ class TestDistanceMatrix:
             distance_matrix([R], "jaccard")
         with pytest.raises(ValueError, match="unique"):
             DistanceMatrix(("a", "a"), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"^distance matrix shape \(3, 3\) does not match 2 ids$"):
+            DistanceMatrix(("a", "b"), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^ids and fingerprints must have equal length$"):
+            distance_matrix([R, S], "jaccard", ids=("a",))
+        with pytest.raises(ValueError, match="^tfidf distance needs corpus statistics$"):
+            pair_distance(R, S, "tfidf")
+        with pytest.raises(ValueError, match="^unknown metric 'euclid'"):
+            pair_distance(R, S, "euclid")
+
+    @pytest.mark.parametrize("metric", ["jaccard", "hfreq", "cosine"])
+    def test_counts_too_large_for_exact_sums_rejected(self, metric):
+        big = Counter({"p": 2**26})  # a row's sum of squares reaches 2**52: sums may round
+        with pytest.raises(ValueError, match=f"^counts too large for exact {metric} distances$"):
+            distance_matrix([big, S], metric)
+        distance_matrix([Counter({"p": 2**26 - 1}), S], metric)
+
+    def test_equality(self):
+        dm = DistanceMatrix(("a", "b"), [[0, 1], [1, 0]], "hbool")
+        assert dm == DistanceMatrix(["a", "b"], np.array([[0.0, 1.0], [1.0, 0.0]]), "hbool")
+        assert dm != DistanceMatrix(("a", "c"), [[0, 1], [1, 0]], "hbool")
+        assert dm != DistanceMatrix(("a", "b"), [[0, 2], [2, 0]], "hbool")
+        assert dm != DistanceMatrix(("a", "b"), [[0, 1], [1, 0]], "hfreq")
+        assert dm != [[0, 1], [1, 0]]
 
 
     def test_counts_must_be_non_negative_integers(self):
@@ -413,7 +436,8 @@ class TestDistanceCsv:
         with pytest.raises(ValueError, match=r"row 2 \('b'\): .* is not a decimal number in column 'a'"):
             csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
 
-    @pytest.mark.parametrize("text", ["id,a\rb\na\rb,0\n", f"id,{'x' * 200_000}\n{'x' * 200_000},0\n"])
+    @pytest.mark.parametrize("text", ["id,a\rb\na\rb,0\n", f"id,{'x' * 200_000}\n{'x' * 200_000},0\n",
+                                      'id,"a"x,b\nax,0,1\nb,1,0\n'])
     def test_csv_module_errors_are_value_errors(self, text):
         with pytest.raises(ValueError, match="distance CSV: "):
             csv_to_distance_matrix(text)

@@ -157,6 +157,10 @@ class TestRanking:
         with pytest.raises(KeyError):
             rank_for_query(THREE_POINT, "zz")
 
+    def test_needs_two_items(self):
+        with pytest.raises(ValueError, match="^ranking needs at least two items$"):
+            rank_for_query(matrix("a", [[0]]), "a")
+
 
 class TestAveragePrecision:
     def test_all_relevant_first(self):
@@ -244,6 +248,12 @@ class TestInterpolatedCurves:
         levels = [i / 10 for i in range(11)]
         interp = naive_interpolated_precision(ranked, {"r1", "r2"}, levels)
         assert interp == [1.0] * 6 + [0.5] * 5
+
+    @pytest.mark.parametrize("labels", [{"a": "x", "b": "x"}, {"a": "x", "b": "x", "c": "y", "d": "y"},
+                                        {"a": "x", "b": "x", "z": "x"}], ids=["fewer", "more", "other"])
+    def test_labels_must_cover_the_matrix_ids(self, labels):
+        with pytest.raises(ValueError, match="^labels cover a different id set than the distance matrix$"):
+            interpolated_curves(THREE_POINT, labels)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(23)

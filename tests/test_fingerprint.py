@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from weftprint.fingerprint import (
     text_to_fingerprint,
 )
 import weftprint.graph as graph_mod
-from weftprint.graph import TERMINAL, InvalidGraphError, TextileGraph, parse_graph, serialize_graph, validate
+from weftprint.graph import TERMINAL, GraphParseError, InvalidGraphError, TextileGraph, parse_graph, serialize_graph, validate
 from weftprint.weaves import (
     grid_to_graph,
     plain_weave,
@@ -292,8 +293,16 @@ class TestFingerprintFiles:
         assert parse_neighborhood("AT,T0;NA,NN") == f"AT,T{PAD};NA,NN"
 
     def test_parse_rejects_malformed_keys(self):
-        for bad in ("AA,AA", "AA;AA;AA", "AA,A;AA,AA", "AX,AA;AA,AA", ",;,"):
-            with pytest.raises(ValueError):
+        for bad, message in [
+            ("AA,AA", "two ';'-joined pairs"),
+            ("AA;AA;AA", "two ';'-joined pairs"),
+            ("AA;AA,AA", "each pair must have two ','-joined arms"),
+            ("AA,AA;AA", "each pair must have two ','-joined arms"),
+            ("AA,A;AA,AA", "share one positive length"),
+            (",;,", "share one positive length"),
+            ("AX,AA;AA,AA", "not a walk"),
+        ]:
+            with pytest.raises(ValueError, match=message):
                 parse_neighborhood(bad)
 
     def test_text_round_trip_sorted(self):
@@ -304,24 +313,49 @@ class TestFingerprintFiles:
         assert text_to_fingerprint(text) == fp
 
     def test_text_rejects_bad_counts(self):
-        with pytest.raises(ValueError, match="count"):
+        with pytest.raises(GraphParseError, match="^line 1, column 9: count must be >= 1, got 0$"):
             text_to_fingerprint("A,A;A,A 0\n")
 
     def test_text_reports_non_integer_count_with_line(self):
-        with pytest.raises(ValueError, match=r"line 2: count is not an integer: 'x'"):
+        # .fp errors are GraphParseErrors, a ValueError, placed as the .tg reader places them
+        with pytest.raises(GraphParseError, match=r"^line 2, column 9: count is not an integer: 'x'$") as err:
             text_to_fingerprint("A,A;A,A 1\nA,A;A,T x\n")
+        assert (err.value.line, err.value.column) == (2, 9)
+
+    @pytest.mark.parametrize("text, message", [
+        ("A,A;A,A 1 2\n", "line 1: expected '<key> <count>', got 'A,A;A,A 1 2'"),
+        ("A,A;A,A\n", "line 1: expected '<key> <count>', got 'A,A;A,A'"),
+        ("A,A;A,A 1\n  A;A,A 1\n", "line 2, column 3: each pair must have two ','-joined arms: 'A;A,A'"),
+        ("A,A;A,A 1\nAX,AA;AA,AA 1\n", "line 2, column 1: arm 'AX' is not a walk"),
+    ], ids=["three_fields", "one_field", "one_arm_pair", "bad_arm"])
+    def test_text_errors_name_their_line_and_column(self, text, message):
+        with pytest.raises(GraphParseError, match=f"^{re.escape(message)}"):
+            text_to_fingerprint(text)
 
     @pytest.mark.parametrize("count", ["1_0", "\u0663", "2.0"])
     def test_text_count_takes_ascii_digits_only(self, count):
-        with pytest.raises(ValueError, match=f"line 2: count is not an integer: {count!r}"):
+        with pytest.raises(GraphParseError, match=f"^line 2, column 9: count is not an integer: {count!r}$"):
             text_to_fingerprint(f"A,A;A,A 1\nA,A;A,T {count}\n")
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x85", "\u2028"])
+    def test_text_lines_end_at_lf_and_cr_only(self, char):
+        # str.splitlines would count a second line inside the comment
+        with pytest.raises(GraphParseError, match="^line 2, column 9: ") as err:
+            text_to_fingerprint(f"# note{char}more\nA,A;A,A x\n")
+        assert err.value.line == 2
+        assert text_to_fingerprint("A,A;A,A 1\r\nA,A;A,T 2\rA,A;A,A 3") == {"A,A;A,A": 4, "A,A;A,T": 2}
+
+    def test_text_fields_split_at_spaces_and_tabs_only(self):
+        assert text_to_fingerprint(" A,A;A,A\t\t2 \n") == {"A,A;A,A": 2}
+        with pytest.raises(GraphParseError, match="^line 1: expected '<key> <count>'"):
+            text_to_fingerprint("A,A;A,A\u00a02\n")
+
+    def test_text_rejects_mixed_depths(self):
+        with pytest.raises(GraphParseError, match="^line 2, column 2: neighborhood depth differs from earlier lines$"):
+            text_to_fingerprint("A,A;A,A 1\n\tAA,AA;AA,AA 1\n")
 
     def test_text_accepts_a_plus_sign(self):
         assert text_to_fingerprint("A,A;A,A +3\n") == {"A,A;A,A": 3}
-
-    def test_text_rejects_mixed_depths(self):
-        with pytest.raises(ValueError, match="depth"):
-            text_to_fingerprint("A,A;A,A 1\nAA,AA;AA,AA 1\n")
 
     def test_save_load(self, tmp_path):
         from weftprint.fingerprint import load_fingerprint, save_fingerprint

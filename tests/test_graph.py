@@ -20,7 +20,7 @@ from weftprint.graph import (
 )
 from weftprint.weaves import grid_to_graph, plain_weave, random_weave
 
-from oracles import naive_validate
+from oracles import implied_partner_violations, naive_validate
 
 ONE_CROSSING = """\
 crossings 1
@@ -56,6 +56,31 @@ class TestParse:
     def test_comments_and_blank_lines_ignored(self):
         noisy = "# header\n\n" + ONE_CROSSING.replace("0 -1 1 1", "0 -1 1 1\n# mid comment\n")
         assert parse_graph(noisy) == parse_graph(ONE_CROSSING)
+
+    @pytest.mark.parametrize("text", ["", "\n# only a comment\n \t\n"], ids=["empty", "comments_only"])
+    def test_empty_file(self, text):
+        with pytest.raises(GraphParseError, match="^empty graph file$"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_lf_and_cr_end_a_line(self, char):
+        # str.splitlines would end the comment at char and read the rest as the header
+        text = f"# a comment{char} that goes on\n" + ONE_CROSSING
+        assert parse_graph(text) == parse_graph(ONE_CROSSING)
+        with pytest.raises(GraphParseError, match="crossing count") as err:
+            parse_graph(f"# note{char} more\ncrossings x\n")
+        assert (err.value.line, err.value.column) == (2, 11)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_cr_lf_and_cr_end_a_line(self, end):
+        assert parse_graph(ONE_CROSSING.replace("\n", end)) == parse_graph(ONE_CROSSING)
+
+    def test_only_spaces_and_tabs_separate_fields(self):
+        assert parse_graph(ONE_CROSSING.replace("2 -1 0 3", "\t2\t-1  0 3 \t")) == parse_graph(ONE_CROSSING)
+        text = ONE_CROSSING.replace("2 -1 0 3", "2\u00a0-1 0 3")
+        with pytest.raises(GraphParseError, match="expected 4 fields '<id> <next> <top> <opp>', got 3") as err:
+            parse_graph(text)
+        assert err.value.line == 4
 
     def test_node_count_mismatch(self):
         text = ONE_CROSSING + "4 -1 1 5\n"
@@ -426,11 +451,37 @@ def test_validate_matches_loop_oracle(g):
 
 
 def test_validate_matches_loop_oracle_on_broken_partners():
-    # Crossing 0: tops on slots 0 and 2, but 0's partner is 1.
+    # Crossing 0: tops on slots 0 and 2, but 0's partner is 1; the top flags of the pairs tell.
     g = graph_from_rows([(-1, 1, 1), (-1, 0, 0), (-1, 1, 3), (-1, 0, 2)])
     violations = validate(g).violations
-    assert "crossing 0: top nodes 0 and 2 are not opposite partners" in violations
+    assert violations == (
+        "node 0: on_top differs from its opposite node 1",
+        "node 1: on_top differs from its opposite node 0",
+        "node 2: on_top differs from its opposite node 3",
+        "node 3: on_top differs from its opposite node 2",
+    )
     assert violations == naive_validate(g)
+    assert implied_partner_violations(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_graph())
+def test_validate_refuses_what_the_partner_rules_refused(g):
+    # validate no longer states the involution and top-partner rules: the others imply them
+    parent_refuses = bool(naive_validate(g) or implied_partner_violations(g))
+    assert validate(g).ok == (not parent_refuses)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (([[-1, -1, -1, -1]], [1, 1, 0, 0], [1, 0, 3, 2]), "next_node must be one-dimensional"),
+    (([-1, -1, -1, -1], [[1, 1, 0, 0]], [1, 0, 3, 2]), "on_top must be one-dimensional"),
+    (([-1, -1, -1, -1], [1, 1, 0, 0], [[1, 0], [3, 2]]), "opposite must be one-dimensional"),
+    (([-1, -1, -1, -1], [1, 1, 0, 0], [1, 0, 3]), "next_node, on_top and opposite must have equal length"),
+    (([-1, -1, -1], [1, 1, 0, 0], [1, 0, 3, 2]), "next_node, on_top and opposite must have equal length"),
+], ids=["2d_next", "2d_top", "2d_opposite", "short_opposite", "short_next"])
+def test_constructor_refuses_misshapen_arrays(arrays, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TextileGraph(*arrays)
 
 
 def test_graph_equality_and_immutability():

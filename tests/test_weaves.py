@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weftprint.graph import TERMINAL, EdgeLabel, edge_label, validate
@@ -20,6 +20,8 @@ from weftprint.weaves import (
     warp_above_weave,
     weave_matrix,
 )
+
+from oracles import loop_grid_arrays
 
 matrices = st.integers(1, 10).flatmap(
     lambda w: st.integers(1, 10).flatmap(
@@ -142,6 +144,20 @@ class TestMixedWeave:
         with pytest.raises(ValueError, match="pool"):
             mixed_weave(4, 0, 8, 8, 0, 0)
 
+    def test_spawned_seeds_give_different_mosaics(self):
+        # like random(d), mixed(b, p) honours a child's spawn key, not only its entropy
+        children = np.random.SeedSequence(5).spawn(2)
+        for kind in ("random(0.5)", "mixed(4,2)"):
+            a, b = (weave_matrix(kind, 12, 12, seed=child) for child in children)
+            assert not np.array_equal(a, b), kind
+        child = children[0]
+        first = weave_matrix("mixed(4,2)", 12, 12, seed=child)
+        assert np.array_equal(weave_matrix("mixed(4,2)", 12, 12, seed=child), first)
+        assert child.n_children_spawned == 0  # the caller's sequence is copied, not spawned from
+        # a sequence without a spawn key builds what its entropy alone builds
+        assert np.array_equal(weave_matrix("mixed(4,2)", 12, 12, seed=np.random.SeedSequence(5)),
+                              weave_matrix("mixed(4,2)", 12, 12, seed=5))
+
     def test_dispatcher_form(self):
         m = weave_matrix("mixed(6,6)", 24, 24, seed=9)
         assert m.shape == (24, 24)
@@ -248,6 +264,17 @@ class TestGridToGraph:
         g = grid_to_graph(m)
         assert validate(g).ok
         assert int((g.next_node == TERMINAL).sum()) == 2 * (m.shape[0] + m.shape[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices)
+    @example(np.ones((1, 7), dtype=bool))
+    @example(np.zeros((6, 1), dtype=bool))
+    @example(np.array([[True]]))
+    def test_matches_crossing_by_crossing_builder(self, m):
+        g = grid_to_graph(m)
+        for got, want in zip((g.next_node, g.on_top, g.opposite), loop_grid_arrays(m)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_always_validates_500_matrices_up_to_16(self):
         rng = np.random.default_rng(500)
