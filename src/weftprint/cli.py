@@ -211,7 +211,7 @@ def _parse_k_range(text: str) -> range:
 def _cmd_bench(args) -> int:
     spec = _load_spec(args)
     k_values = _parse_k_range(args.k_range)
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    metrics = [m.strip(" \t") for m in args.metrics.split(",") if m.strip(" \t")]
     if not metrics:
         raise ValueError(f"--metrics names no metric, got {args.metrics!r}")
     for metric in metrics:

@@ -9,18 +9,21 @@ category seed and the sample index, so a spec regenerates byte-for-byte.
 Spec files are INI-style, one section per category (grammar below and in
 the README)::
 
-    [corpus]            # optional; global defaults
+    # optional; the fallback seed of categories without their own
+    [corpus]
     seed = 7
 
     [twill-2-1]
-    kind = twill(2,1)   # plain | twill(m,n) | satin(p,s) | warp_above | random(d)
+    # plain | twill(m,n) | satin(p,s) | warp_above | random(d) | mixed(b,p)
+    kind = twill(2,1)
     count = 20
     width = 24
     height = 24
     perturb_fraction = 0.25
     perturb_rate = 0.03
     transform_fraction = 0.25
-    seed = 3            # optional; default derives from the global seed
+    # optional; default derives from the global seed
+    seed = 3
 
 On disk a corpus is a directory of ``<id>.tg`` files plus a
 ``manifest.csv`` with header ``id,path,category`` (paths relative to the
@@ -29,16 +32,16 @@ manifest).
 
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import TextileGraph, load_graph, save_graph, serialize_graph
+from .graph import TextileGraph, _significant_lines, load_graph, save_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
     _read_number,
@@ -55,9 +58,9 @@ from .weaves import (
 class CategorySpec:
     name: str
     kind: str
-    count: int
-    width: int
-    height: int
+    count: int = 1
+    width: int = 16
+    height: int = 16
     perturb_fraction: float = 0.0
     perturb_rate: float = 0.0
     transform_fraction: float = 0.0
@@ -67,6 +70,7 @@ class CategorySpec:
         if not self.name or any(c in self.name for c in "/\\,\r\n"):
             raise ValueError(f"category name {self.name!r} must be non-empty, without path separators, "
                              "commas or line breaks")
+        parse_kind(self.kind)
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
         if self.seed is not None and self.seed < 0:
@@ -77,16 +81,21 @@ class CategorySpec:
             value = getattr(self, field_name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"category {self.name!r}: {field_name} must lie in [0, 1]")
-        if self.perturb_fraction + self.transform_fraction > 1.0:
+        if _spelled(self.perturb_fraction) + _spelled(self.transform_fraction) > 1:
             raise ValueError(f"category {self.name!r}: perturbed and transformed fractions exceed the count")
 
     @property
     def n_perturbed(self) -> int:
-        return int(self.count * self.perturb_fraction)
+        return int(self.count * _spelled(self.perturb_fraction))
 
     @property
     def n_transformed(self) -> int:
-        return int(self.count * self.transform_fraction)
+        return int(self.count * _spelled(self.transform_fraction))
+
+
+def _spelled(fraction: float) -> Fraction:
+    # The exact value of the shortest decimal spelling, as in a spec file: int(90 * 0.7) is 62, not 63.
+    return Fraction(str(fraction))
 
 
 @dataclass(frozen=True)
@@ -121,11 +130,8 @@ _POOL_STREAM = 997  # category-level stream id for shared mixed-weave motif pool
 def _sample_matrix(cat: CategorySpec, seed: int, index: int):
     name, args = parse_kind(cat.kind)
     if name == "mixed":  # one motif pool per category; each sample only re-arranges it
-        return mixed_weave(
-            *args, cat.width, cat.height,
-            pool_seed=np.random.SeedSequence([seed, _POOL_STREAM]),
-            choice_seed=_sample_seed(seed, index, 0),
-        )
+        pool_seed = np.random.SeedSequence([seed, _POOL_STREAM])
+        return mixed_weave(*args, cat.width, cat.height, pool_seed, _sample_seed(seed, index, 0))
     return weave_matrix(cat.kind, cat.width, cat.height, seed=_sample_seed(seed, index, 0))
 
 
@@ -152,13 +158,11 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusItem]:
 
 # --- spec files ---------------------------------------------------------------
 
-_GLOBAL_SECTION = "corpus"
 # The type of each key's value; a key left out keeps its default.
 _CATEGORY_KEYS = {
     "kind": str, "count": int, "width": int, "height": int,
     "perturb_fraction": float, "perturb_rate": float, "transform_fraction": float, "seed": int,
 }
-_CATEGORY_DEFAULTS = {"count": 1, "width": 16, "height": 16}
 
 
 def _read_section(section, types: dict, where: str) -> dict:
@@ -170,25 +174,30 @@ def _read_section(section, types: dict, where: str) -> dict:
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"bad corpus spec: {exc}") from None
+    """The spec in ``text``, whose lines, blank lines and comments follow the ``.tg`` rule."""
+    sections, current = {}, None
+    for lineno, _, line in _significant_lines(text):
+        key, equals, value = (part.strip(" \t") for part in line.partition("="))
+        if line.startswith("[") and line.endswith("]"):
+            if line[1:-1] in sections:
+                raise ValueError(f"bad corpus spec: line {lineno}: repeated section {line}")
+            current = sections[line[1:-1]] = {}
+        elif not equals:
+            raise ValueError(f"bad corpus spec: line {lineno}: expected '[section]' or 'key = value', got {line!r}")
+        elif current is None:
+            raise ValueError(f"bad corpus spec: line {lineno}: key {key!r} before any section")
+        elif key in current:
+            raise ValueError(f"bad corpus spec: line {lineno}: repeated key {key!r}")
+        else:
+            current[key] = value
 
-    seed = 0
-    if parser.has_section(_GLOBAL_SECTION):
-        seed = _read_section(parser[_GLOBAL_SECTION], {"seed": int}, f"section {_GLOBAL_SECTION!r}").get("seed", 0)
-
+    seed = _read_section(sections.pop("corpus", {}), {"seed": int}, "section 'corpus'").get("seed", 0)
     categories = []
-    for name in parser.sections():
-        if name == _GLOBAL_SECTION:
-            continue
-        values = _read_section(parser[name], _CATEGORY_KEYS, f"category {name!r}")
+    for name, section in sections.items():
+        values = _read_section(section, _CATEGORY_KEYS, f"category {name!r}")
         if "kind" not in values:
             raise ValueError(f"category {name!r}: missing required key 'kind'")
-        parse_kind(values["kind"])  # a bad kind is refused here, before anything is generated
-        categories.append(CategorySpec(name, **{**_CATEGORY_DEFAULTS, **values}))
+        categories.append(CategorySpec(name, **values))
     return CorpusSpec(tuple(categories), seed=seed)
 
 

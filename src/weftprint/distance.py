@@ -25,6 +25,8 @@ two all-zero vectors 0.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import re
 from collections import Counter
@@ -338,9 +340,6 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     integer metric's matrix holds, is exact at any size.  Rows are
     converted one at a time, so no n*n list of Python objects is held.
     """
-    import csv
-    import io
-
     quoted = []
     for row_id in dm.ids:
         buf = io.StringIO()
@@ -366,8 +365,6 @@ def _csv_canonical(text: str):
     signs, points and exponents.  ``None`` only means "not plain": the
     caller then runs the csv reader, which accepts or rejects the text.
     """
-    import csv
-
     if '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.removesuffix("\n").split("\n")
@@ -395,9 +392,6 @@ def _csv_rows(text: str):
 
     It is the one that reports errors, with the row, id and column.
     """
-    import csv
-    import io
-
     try:
         rows = [r for r in csv.reader(io.StringIO(text), strict=True) if r]
     except csv.Error as exc:  # malformed quoting, a field over the size limit, or a bare CR inside one

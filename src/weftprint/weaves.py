@@ -110,9 +110,7 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
     return np.vstack(rows)[:h, :w]
 
 
-_KIND_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
-_KIND_ARGS = {"plain": (), "twill": (int, int), "satin": (int, int), "warp_above": (), "random": (float,),
-              "mixed": (int, int)}
+_KIND_RE = re.compile(r"[ \t]*([a-z_]+)[ \t]*(?:\([ \t]*([^)]*)\)[ \t]*)?")
 
 
 def _read_number(text: str, as_type: type, where: str):
@@ -126,56 +124,54 @@ def _read_number(text: str, as_type: type, where: str):
     return as_type(text)
 
 
+def _mixed_from_seed(block: int, pool: int, w: int, h: int, seed) -> np.ndarray:
+    """A mosaic whose motif pool and placements both derive from ``seed``."""
+    if isinstance(seed, np.random.SeedSequence):  # a copy, so the caller's sequence spawns nothing
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        seed = np.random.SeedSequence(seed)
+    return mixed_weave(block, pool, w, h, *seed.spawn(2))
+
+
+# Each kind's argument types and generator; random and mixed also take a seed.
+_KINDS = {"plain": ((), plain_weave), "twill": ((int, int), twill_weave), "satin": ((int, int), satin_weave),
+          "warp_above": ((), warp_above_weave), "random": ((float,), random_weave),
+          "mixed": ((int, int), _mixed_from_seed)}
+
+
 def parse_kind(kind: str) -> tuple[str, list]:
     """Name and converted arguments of a kind string, e.g. ``("twill", [2, 1])``.
 
-    ``twill``, ``satin`` and ``mixed`` take two integers, ``random`` one
-    decimal, ``plain`` and ``warp_above`` none.  Integers are ASCII digits
-    with an optional sign; decimals are spelled as distance-CSV cells.  An
-    unparseable or unknown kind, or a wrong argument count or spelling, is a
-    ``ValueError``.
+    Integers are ASCII digits with an optional sign; decimals are spelled as
+    distance-CSV cells; blanks are ASCII spaces and tabs.  An unparseable or
+    unknown kind, or a wrong argument count or spelling, is a ``ValueError``.
     """
-    m = _KIND_RE.match(kind)
+    m = _KIND_RE.fullmatch(kind)
     if not m:
         raise ValueError(f"unparseable weave kind {kind!r}")
     name, argtext = m.groups()
-    if name not in _KIND_ARGS:
+    if name not in _KINDS:
         raise ValueError(f"unknown weave kind {name!r}")
-    args = [a.strip() for a in argtext.split(",")] if argtext else []
-    types = _KIND_ARGS[name]
+    args = [a.strip(" \t") for a in argtext.split(",")] if argtext else []
+    types = _KINDS[name][0]
     if len(args) != len(types):
         raise ValueError(f"weave kind {kind!r} takes {len(types)} parameter(s), got {len(args)}")
     return name, [_read_number(a, t, f"weave kind {kind!r}") for a, t in zip(args, types)]
 
 
-_SEEDLESS = {"plain": plain_weave, "twill": twill_weave, "satin": satin_weave, "warp_above": warp_above_weave}
-
-
 def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:
     """Build a matrix from a kind string such as ``twill(2,1)`` or ``random(0.5)``.
 
-    Recognized kinds: ``plain``, ``twill(m,n)``, ``satin(period,step)``,
-    ``warp_above``, ``random(density)``, ``mixed(block,pool)``.  The
-    stochastic kinds require ``seed``; for ``mixed`` the motif pool and
-    the placements both derive from it, so use :func:`mixed_weave`
-    directly to share one pool across several mosaics.
+    The stochastic kinds, ``random`` and ``mixed``, require ``seed``; for
+    ``mixed`` the motif pool and the placements both derive from it, so use
+    :func:`mixed_weave` directly to share one pool across several mosaics.
     """
     name, args = parse_kind(kind)
-    if name in _SEEDLESS:
-        return _SEEDLESS[name](*args, w, h)
+    if name not in ("random", "mixed"):
+        return _KINDS[name][1](*args, w, h)
     if seed is None:
         raise ValueError(f"{name} weave needs a seed")
-    if name == "random":
-        return random_weave(*args, w, h, seed)
-    if isinstance(seed, np.random.SeedSequence):  # a copy, so the caller's sequence spawns nothing
-        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    else:
-        seed = np.random.SeedSequence(seed)
-    pool_seed, choice_seed = seed.spawn(2)
-    return mixed_weave(*args, w, h, pool_seed, choice_seed)
-
-
-TRANSFORM_OPS = ("rotate90", "rotate180", "mirror")
+    return _KINDS[name][1](*args, w, h, seed)
 
 
 def rotate90(cells) -> np.ndarray:
@@ -192,14 +188,14 @@ def mirror(cells) -> np.ndarray:
     return _as_matrix(cells)[:, ::-1]
 
 
+_TRANSFORMS = {"rotate90": rotate90, "rotate180": rotate180, "mirror": mirror}
+TRANSFORM_OPS = tuple(_TRANSFORMS)
+
+
 def transform(cells, op: str) -> np.ndarray:
-    if op == "rotate90":
-        return rotate90(cells)
-    if op == "rotate180":
-        return rotate180(cells)
-    if op == "mirror":
-        return mirror(cells)
-    raise ValueError(f"unknown transform {op!r}, expected one of {TRANSFORM_OPS}")
+    if op not in _TRANSFORMS:
+        raise ValueError(f"unknown transform {op!r}, expected one of {TRANSFORM_OPS}")
+    return _TRANSFORMS[op](cells)
 
 
 def perturb(cells, rate: float, seed) -> np.ndarray:

@@ -8,8 +8,10 @@ oracle checks crossing by crossing and link by link in Python loops, and
 the pair-counting oracle enumerates every unordered pair of items.  The
 distance-CSV oracle writes row by row through ``csv.writer``, one cell
 formatted at a time.  The grid oracle lays out one crossing at a time.
+The corpus-spec oracle reads through ``configparser``.
 """
 
+import configparser
 import csv
 import io
 from itertools import combinations
@@ -18,6 +20,7 @@ from statistics import fmean
 
 import numpy as np
 
+from weftprint.corpus import CategorySpec, CorpusSpec
 from weftprint.distance import INTEGER_METRICS
 from weftprint.fingerprint import PAD
 from weftprint.graph import TERMINAL
@@ -162,6 +165,23 @@ def loop_grid_arrays(cells):
             top += [bool(m[i, j])] * 2 + [not m[i, j]] * 2
             opp += [b + 1, b, b + 3, b + 2]
     return np.array(nxt, dtype=np.int64), np.array(top, dtype=np.bool_), np.array(opp, dtype=np.int64)
+
+
+_SPEC_TYPES = {"kind": str, "count": int, "width": int, "height": int,
+               "perturb_fraction": float, "perturb_rate": float, "transform_fraction": float, "seed": int}
+
+
+def configparser_corpus_spec(text):
+    """The ``CorpusSpec`` of spec ``text`` as ``configparser`` reads it.
+
+    Only for texts in the documented grammar: on others ``configparser``
+    follows rules of its own (``[DEFAULT]``, ``:``, continuation lines).
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    categories = [CategorySpec(name, **{key: _SPEC_TYPES[key](value) for key, value in parser[name].items()})
+                  for name in parser.sections() if name != "corpus"]
+    return CorpusSpec(tuple(categories), seed=parser.getint("corpus", "seed", fallback=0))
 
 
 def naive_upgma_merges(dm):

@@ -303,7 +303,8 @@ class TestBench:
         (["--k-range", "3..2"], "--k-range needs 1 <= a <= b, got '3..2'"),
         (["--metrics", "jaccard,euclid"], "unknown metric 'euclid', expected one of " + str(METRICS)),
         (["--repeats", "0"], "--repeats must be >= 1"),
-    ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats"])
+        (["--metrics", "jaccard\u00a0,\u2028hbool"], "unknown metric 'jaccard\\xa0', expected one of " + str(METRICS)),
+    ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats", "unicode_blank_metric"])
     def test_refused_values_are_data_errors(self, tmp_path, capsys, flags, message):
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC)

@@ -1,4 +1,7 @@
 import dataclasses
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ from weftprint.graph import validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
+from oracles import configparser_corpus_spec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def single_category(**overrides):
@@ -33,7 +39,7 @@ FRACTIONS = st.floats(0, 1)
 @st.composite
 def category_specs(draw):
     perturb_fraction, transform_fraction = draw(FRACTIONS), draw(FRACTIONS)
-    assume(perturb_fraction + transform_fraction <= 1.0)
+    assume(Fraction(str(perturb_fraction)) + Fraction(str(transform_fraction)) <= 1)  # the exact sum, as the spec rule
     return CategorySpec(
         name=draw(st.from_regex(r"[a-z0-9][a-z0-9_.-]{0,8}", fullmatch=True).filter(lambda s: s != "corpus")),
         kind=draw(st.one_of(st.sampled_from(["plain", "warp_above", "twill(2,1)", "satin(5,2)", "mixed(4,3)"]),
@@ -132,7 +138,8 @@ class TestSpecValidation:
         for name in ("a\rb", "a\nb", "a\r\n", "\r"):
             with pytest.raises(ValueError, match="line breaks"):
                 CategorySpec(name=name, kind="plain", count=1, width=2, height=2)
-        with pytest.raises(ValueError, match="line breaks"):
+        # in a spec file CR ends the line, so the section header is broken there
+        with pytest.raises(ValueError, match=r"^bad corpus spec: line 1: .* got '\[a'$"):
             parse_corpus_spec("[a\rb]\nkind = plain\n")
 
     def test_negative_seeds_rejected(self):
@@ -164,9 +171,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unique"):
             CorpusSpec((cat, cat))
 
-    def test_bad_kind_surfaces_at_generation(self):
-        with pytest.raises(ValueError, match="unknown weave kind"):
-            generate_corpus(single_category(kind="hexagonal"))
+    def test_bad_kind_refused_when_made(self):
+        with pytest.raises(ValueError, match="^unknown weave kind 'hexagonal'$"):
+            CategorySpec(name="x", kind="hexagonal")
+        with pytest.raises(ValueError, match=r"^weave kind 'twill\(2\)' takes 2 parameter\(s\), got 1$"):
+            CategorySpec("x", "twill(2)", 4, 4, 4)
+
+    def test_defaults(self):
+        assert CategorySpec("x", "plain") == CategorySpec("x", "plain", 1, 16, 16, 0.0, 0.0, 0.0, None)
+
+    def test_block_sizes_are_exact(self):
+        # the float product 90 * 0.7 is 62.99..., one sample short of 63
+        assert CategorySpec("x", "plain", 90, perturb_fraction=0.7).n_perturbed == 63
+        assert CategorySpec("x", "plain", 100, transform_fraction=0.29).n_transformed == 29
+        with pytest.raises(ValueError, match="exceed"):  # the float sum rounds to 1.0
+            CategorySpec("x", "plain", perturb_fraction=1.0, transform_fraction=5e-324)
+        for count in range(1, 201):
+            for percent in range(101):
+                cat = CategorySpec("x", "plain", count, perturb_fraction=percent / 100,
+                                   transform_fraction=(100 - percent) / 100)
+                assert (cat.n_perturbed, cat.n_transformed) == (count * percent // 100,
+                                                                count * (100 - percent) // 100)
 
 
 class TestSpecFiles:
@@ -197,8 +222,75 @@ class TestSpecFiles:
             parse_corpus_spec("[alpha]\ncount = 2\n")
 
     def test_malformed_ini_rejected(self):
-        with pytest.raises(ValueError, match="bad corpus spec"):
+        with pytest.raises(ValueError, match="^bad corpus spec: line 1: key 'kind' before any section$"):
             parse_corpus_spec("kind = plain\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\n[a]\nkind = plain\n[b]\nkind = plain\n\n[a]\n",
+         r"bad corpus spec: line 8: repeated section \[a\]"),
+        ("[corpus]\nseed = 1\n[corpus]\n[a]\nkind = plain\n", r"bad corpus spec: line 3: repeated section \[corpus\]"),
+        ("[a]\nkind = plain\n\t count\t= 2\ncount=3\n", r"bad corpus spec: line 4: repeated key 'count'"),
+        ("[a]\nkind = plain\n[a b\n", r"bad corpus spec: line 3: expected '\[section\]' or 'key = value', got '\[a b'"),
+    ], ids=["section_twice", "corpus_twice", "key_twice", "other_line"])
+    def test_spec_lines_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_corpus_spec(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[DEFAULT]\nseed = 5\n\n[a]\nkind = plain\n", r"category 'DEFAULT': missing required key 'kind'"),
+        ("[a]\nkind = plain\nCount = 3\n", r"category 'a': unknown keys \['Count'\]"),
+        ("[a]\nkind: plain\n", r"bad corpus spec: line 2: expected '\[section\]' or 'key = value', got 'kind: plain'"),
+        ("[a]\nkind = plain\n; a comment\n", r"bad corpus spec: line 3: .* got '; a comment'"),
+        ("[a]\nkind = plain\ncount = 20 ; twenty\n", r"category 'a': count: '20 ; twenty' is not an integer"),
+        ("[a]\nkind = twill(2,\n  1)\n", r"bad corpus spec: line 3: .* got '1\)'"),
+        ("[a]\nkind = plain\ncount = 20\u00a0\n", r"category 'a': count: '20\\xa0' is not an integer"),
+        ("[a]\nkind =\u00a0plain\n", r"unparseable weave kind '\\xa0plain'"),
+    ], ids=["default_section", "key_case", "colon", "semicolon_comment", "inline_comment", "continuation",
+            "nbsp_value", "nbsp_kind"])
+    def test_configparser_rules_refused(self, text, message):
+        # configparser took each of these; the spec grammar has none of its extra rules
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_corpus_spec(text)
+
+    def test_ascii_blanks_and_line_ends(self):
+        text = "[corpus]\r\n \tseed\t=\t4 \r\n\t# note\r[a]\t\nkind=twill( 2 ,\t1 )\ncount \t=  3\t"
+        assert parse_corpus_spec(text) == CorpusSpec((CategorySpec("a", "twill( 2 ,\t1 )", 3),), seed=4)
+
+    def test_readme_example_parses(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL).group(1)
+        spec = parse_corpus_spec(block)
+        assert spec.seed == 7
+        assert spec.categories == (CategorySpec("twill-2-1", "twill(2,1)", 20, 24, 24, 0.25, 0.03, 0.25, 8),)
+
+    def test_docstring_example_parses(self):
+        import weftprint.corpus
+
+        block = weftprint.corpus.__doc__.split("::\n", 1)[1].split("\nOn disk", 1)[0]
+        assert parse_corpus_spec(block).categories[0].kind == "twill(2,1)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reader_equals_configparser(self, data):
+        # the documented grammar: sections, lowercase key = value lines, # comments,
+        # blank lines, and ASCII blanks around keys and values
+        blanks = st.sampled_from(["", " ", "\t", "  ", " \t "])
+        extras = st.lists(st.one_of(blanks, blanks.map(lambda b: b + "#"),
+                                    st.text(st.characters(exclude_characters="\r\n")).map(lambda t: "# " + t)),
+                          max_size=2)
+        categories = data.draw(st.lists(category_specs(), min_size=1, max_size=3, unique_by=lambda c: c.name))
+        sections = [("corpus", {"seed": data.draw(st.integers(0, 2**64))})] if data.draw(st.booleans()) else []
+        for cat in categories:
+            keys = [f.name for f in dataclasses.fields(cat) if f.name not in ("name", "kind")]
+            kept = data.draw(st.lists(st.sampled_from(keys), unique=True))
+            sections.append((cat.name, {key: getattr(cat, key) for key in ["kind", *kept]}))
+        lines = []
+        for name, values in sections:
+            lines += data.draw(extras) + [f"[{name}]" + data.draw(blanks)]
+            for key, value in values.items():
+                lines += data.draw(extras)
+                lines.append(f"{key}{data.draw(blanks)}={data.draw(blanks)}{value}{data.draw(blanks)}")
+        text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+        assert parse_corpus_spec(text) == configparser_corpus_spec(text)
 
     @pytest.mark.parametrize("text, message", MISSPELLED_SPECS)
     def test_numbers_take_ascii_spellings_only(self, text, message):

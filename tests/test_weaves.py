@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from weftprint.graph import TERMINAL, EdgeLabel, edge_label, validate
 from weftprint.weaves import (
+    TRANSFORM_OPS,
     grid_to_graph,
     mirror,
     mixed_weave,
@@ -112,6 +113,16 @@ class TestConstructors:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_kind(kind)
 
+    @pytest.mark.parametrize("kind", ["plain\n", "\u00a0plain", "twill(2,1)\u2028", "twill(\u00a02,1)",
+                                      "random(0.5\u3000)", "plain\r", "\fplain"])
+    def test_parse_kind_takes_ascii_blanks_only(self, kind):
+        with pytest.raises(ValueError, match="weave kind"):
+            parse_kind(kind)
+
+    def test_parse_kind_allows_spaces_and_tabs(self):
+        assert parse_kind("\t twill \t( \t2 ,\t1 \t) \t") == ("twill", [2, 1])
+        assert parse_kind("plain( )") == ("plain", [])
+
 
 class TestMixedWeave:
     def test_every_block_comes_from_the_pool(self):
@@ -191,6 +202,9 @@ class TestTransforms:
     def test_transform_dispatch(self):
         m = plain_weave(3, 2)
         assert np.array_equal(transform(m, "mirror"), mirror(m))
+        assert np.array_equal(transform(m, "rotate90"), rotate90(m))
+        assert np.array_equal(transform(m, "rotate180"), rotate180(m))
+        assert TRANSFORM_OPS == ("rotate90", "rotate180", "mirror")  # the order corpora cycle through
         with pytest.raises(ValueError, match="unknown transform"):
             transform(m, "shear")
 
