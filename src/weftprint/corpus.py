@@ -71,6 +71,10 @@ class CategorySpec:
             raise ValueError(f"category name {self.name!r} must be non-empty, without path separators, "
                              "commas or line breaks")
         parse_kind(self.kind)
+        try:  # each generator owns its argument ranges: build one 1x1 sample to apply them
+            weave_matrix(self.kind, 1, 1, seed=0)
+        except ValueError as exc:
+            raise ValueError(f"category {self.name!r}: weave kind {self.kind!r}: {exc}") from None
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
         if self.seed is not None and self.seed < 0:

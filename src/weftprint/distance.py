@@ -40,12 +40,18 @@ INTEGER_METRICS = ("hbool", "hfreq")
 _EMPTY_JACCARD = "jaccard distance is undefined on empty fingerprints"
 
 
+def _shared(r: Mapping, s: Mapping):
+    """``(r[p], s[p])`` for each key both hold, walking the smaller support (``r`` on a tie)."""
+    if len(r) <= len(s):
+        return ((c, s[p]) for p, c in r.items() if p in s)
+    return ((r[p], c) for p, c in s.items() if p in r)
+
+
 def jaccard_distance(r: Mapping, s: Mapping) -> float:
     """Multiset Jaccard distance."""
     if not r and not s:
         raise ValueError(_EMPTY_JACCARD)
-    small, large = (r, s) if len(r) <= len(s) else (s, r)
-    inter_min = sum(min(c, large[p]) for p, c in small.items() if p in large)
+    inter_min = sum(min(a, b) for a, b in _shared(r, s))
     union = sum(r.values()) + sum(s.values()) - inter_min
     if union == 0:  # keys present, but every count is zero
         raise ValueError(_EMPTY_JACCARD)
@@ -54,20 +60,12 @@ def jaccard_distance(r: Mapping, s: Mapping) -> float:
 
 def hamming_bool_distance(r: Mapping, s: Mapping) -> int:
     """Number of neighborhoods present in exactly one of the two."""
-    small, large = (r, s) if len(r) <= len(s) else (s, r)
-    inter = sum(1 for p in small if p in large)
-    return len(r) + len(s) - 2 * inter
+    return len(r) + len(s) - 2 * sum(1 for _ in _shared(r, s))
 
 
 def hamming_freq_distance(r: Mapping, s: Mapping) -> int:
-    """Unnormalized L1 distance over the union support."""
-    total = 0
-    for p, c in r.items():
-        total += abs(c - s.get(p, 0)) if p in s else c
-    for p, c in s.items():
-        if p not in r:
-            total += c
-    return total
+    """Unnormalized L1 distance over the union support: sum(r) + sum(s) - 2 sum(min)."""
+    return sum(r.values()) + sum(s.values()) - 2 * sum(min(a, b) for a, b in _shared(r, s))
 
 
 def _left_sum(values):
@@ -95,8 +93,7 @@ def cosine_distance(r: Mapping, s: Mapping) -> float:
         return 0.0
     if norm_r == 0.0 or norm_s == 0.0:
         return 1.0
-    small, large = (r, s) if len(r) <= len(s) else (s, r)
-    dot = _left_sum(c * large[p] for p, c in small.items() if p in large)
+    dot = _left_sum(a * b for a, b in _shared(r, s))
     # rounding can push the similarity a ulp past 1; keep the distance in [0, 1]
     return max(0.0, 1.0 - dot / (norm_r * norm_s))
 
@@ -271,10 +268,13 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     if metric in ("jaccard", "hfreq", "cosine") and data.size:
         if data.dtype.kind not in "iu" or data.min() < 0:
             raise ValueError(f"{metric} distance needs non-negative integer counts")
-        # every aggregate is bounded by a row's sum of squares: keep it float-exact
-        if np.bincount(entry_row, weights=data.astype(np.float64) ** 2).max() >= 2.0**52:
-            raise ValueError(f"counts too large for exact {metric} distances")
     data = data.astype(np.float64)
+    if metric != "hbool":  # hbool reads presence only: its counts may square past the float range
+        squares = np.bincount(entry_row, weights=data * data, minlength=n)
+        # every aggregate is bounded by a row's sum of squares: keep it float-exact
+        if metric != "tfidf" and squares.max() >= 2.0**52:
+            raise ValueError(f"counts too large for exact {metric} distances")
+        norms = np.sqrt(squares)  # bincount adds each row left to right, as _norm does
 
     # CSC copy: per key, the rows holding it in rank order, and each entry's slot there
     by_col = np.argsort(cols, kind="stable")
@@ -285,8 +285,6 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     slot[by_col] = np.arange(by_col.size)
 
     totals = np.bincount(entry_row, weights=data, minlength=n)
-    if metric in ("cosine", "tfidf"):
-        norms = np.array([_norm(vectors[a].values()) for a in order])
 
     values = np.zeros((n, n), dtype=np.float64)
     for r in range(n - 1):
@@ -326,8 +324,8 @@ def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarra
 
 # --- distance matrix CSV ----------------------------------------------------
 #
-# First row 'id,<id_1>,...,<id_n>', then one row per item.  Integer-valued
-# metrics are written unpadded; the rest with 12 significant digits.
+# First row 'id,<id_1>,...,<id_n>', then one row per item.  A matrix whose
+# cells are all whole is written unpadded; any other with 12 significant digits.
 
 
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
@@ -335,17 +333,18 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
 
     ``csv.writer`` spells each id, so Python's own rule decides its quoting;
     its CR LF row end makes it quote a CR in an id as it quotes an LF.
-    Each row is one ``%`` format of one matrix row: ``%.12g`` is
-    ``format(x, ".12g")``, and ``%d`` of a whole float, which is all an
-    integer metric's matrix holds, is exact at any size.  Rows are
-    converted one at a time, so no n*n list of Python objects is held.
+    Each row is one ``%`` format of one matrix row: ``%d`` when every cell
+    is whole, whatever the metric, which is exact at any size, else
+    ``%.12g``, which is ``format(x, ".12g")``.  Rows are converted one at
+    a time, so no n*n list of Python objects is held.
     """
     quoted = []
     for row_id in dm.ids:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
         quoted.append(buf.getvalue()[:-3])
-    fmt = (",%d" if dm.metric in INTEGER_METRICS else ",%.12g") * len(quoted)
+    whole = all(np.array_equal(np.rint(row), row) for row in dm.values)  # stops at the first fractional row
+    fmt = (",%d" if whole else ",%.12g") * len(quoted)
     lines = [",".join(["id", *quoted]) + "\n"]
     lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, dm.values)]
     return "".join(lines)

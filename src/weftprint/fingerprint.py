@@ -72,16 +72,11 @@ def arm_walk(g: TextileGraph, start: int, k: int) -> ArmSequence:
 def canonical_neighborhood(pair_a, pair_b) -> Neighborhood:
     """Canonical key of two arm pairs; insensitive to any input ordering."""
     a0, a1 = pair_a
-    if a0 > a1:
-        a0, a1 = a1, a0
     b0, b1 = pair_b
-    if b0 > b1:
-        b0, b1 = b1, b0
     if len({len(a0), len(a1), len(b0), len(b1)}) != 1:
         raise ValueError("all four arms must have the same length")
-    if (a0, a1) > (b0, b1):
-        a0, a1, b0, b1 = b0, b1, a0, a1
-    return f"{a0},{a1};{b0},{b1}"
+    # equal lengths make comparing the joined pairs the same as comparing their arm tuples
+    return ";".join(sorted([",".join(sorted((a0, a1))), ",".join(sorted((b0, b1)))]))
 
 
 def crossing_neighborhood(g: TextileGraph, c: int, k: int) -> Neighborhood:

@@ -21,7 +21,6 @@ from statistics import fmean
 import numpy as np
 
 from weftprint.corpus import CategorySpec, CorpusSpec
-from weftprint.distance import INTEGER_METRICS
 from weftprint.fingerprint import PAD
 from weftprint.graph import TERMINAL
 
@@ -310,9 +309,9 @@ def naive_curves(dm, labels, levels):
     return avg(precision_rows), avg(f_rows), left_sum(aps) / n
 
 
-def format_distance(x, metric):
-    """One distance cell: an integer metric's whole value unpadded, the rest with 12 significant digits."""
-    if metric in INTEGER_METRICS:
+def format_distance(x, whole):
+    """One distance cell: unpadded in a matrix of whole cells, else with 12 significant digits."""
+    if whole:
         return str(int(x))
     return format(x, ".12g")
 
@@ -323,8 +322,9 @@ def csv_written(dm):
     Each row is written with a CR LF end, so that a CR in an id is quoted
     as an LF is, and then ends with LF alone.
     """
+    whole = all(float(x).is_integer() for x in dm.values.flat)
     rows = [["id", *dm.ids]]
-    rows += [[row_id, *(format_distance(x, dm.metric) for x in dm.values[i])] for i, row_id in enumerate(dm.ids)]
+    rows += [[row_id, *(format_distance(x, whole) for x in dm.values[i])] for i, row_id in enumerate(dm.ids)]
     lines = []
     for row in rows:
         buf = io.StringIO()

@@ -177,6 +177,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"^weave kind 'twill\(2\)' takes 2 parameter\(s\), got 1$"):
             CategorySpec("x", "twill(2)", 4, 4, 4)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("twill(0,1)", "twill counts must be >= 1, got 0/1"),
+        ("satin(6,2)", "satin step 2 must be coprime with period 6"),
+        ("random(2)", r"density must lie in \[0, 1\], got 2.0"),
+        ("random(nan)", r"density must lie in \[0, 1\], got nan"),
+        ("mixed(0,1)", "block size must be >= 1, got 0"),
+    ])
+    def test_kind_ranges_refused_when_made(self, kind, message):
+        # the generator owns the range; the refusal names the category and the kind
+        with pytest.raises(ValueError, match=f"^category 'a': weave kind {re.escape(repr(kind))}: {message}$"):
+            CategorySpec("a", kind, 1, 4, 4)
+
     def test_defaults(self):
         assert CategorySpec("x", "plain") == CategorySpec("x", "plain", 1, 16, 16, 0.0, 0.0, 0.0, None)
 
@@ -298,10 +310,10 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_corpus_spec(text)
 
-    def test_random_density_range_checked_at_generation(self):
-        spec = parse_corpus_spec("[a]\nkind = random(nan)\n")
-        with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
-            generate_corpus(spec)
+    def test_random_density_range_checked_when_made(self):
+        message = r"^category 'a': weave kind 'random\(nan\)': density must lie in \[0, 1\], got nan$"
+        with pytest.raises(ValueError, match=message):
+            parse_corpus_spec("[a]\nkind = random(nan)\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(category_specs(), min_size=1, max_size=3, unique_by=lambda c: c.name), st.integers(0, 2**64))

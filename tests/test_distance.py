@@ -81,6 +81,13 @@ class TestHamming:
     def test_freq_against_empty(self):
         assert hamming_freq_distance(Counter({"p": 3}), Counter()) == 3
 
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 2**70)) for _ in range(2)])
+    def test_freq_is_l1_over_the_union_support(self, a, b):
+        # an independent statement of hfreq: sum(min) is shared with the matrix kernel
+        l1 = sum(abs(a.get(p, 0) - b.get(p, 0)) for p in set(a) | set(b))
+        assert hamming_freq_distance(a, b) == l1
+
     def test_freq_at_least_bool(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -392,6 +399,15 @@ class TestDistanceCsv:
         dm = distance_matrix([R, S], "hfreq", ids=("a", "b"))
         text = distance_matrix_to_csv(dm)
         assert text.splitlines()[1] == "a,0,4"
+
+    def test_loaded_integer_matrix_resaves_byte_for_byte(self, tmp_path):
+        # a loaded matrix has no metric: whole cells, not the label, choose the integer spelling
+        text = "id,a,b\na,0,1000000000001\nb,1000000000001,0\n"
+        (tmp_path / "d.csv").write_text(text, encoding="utf-8")
+        dm = load_distance_matrix(tmp_path / "d.csv")
+        assert dm.metric == ""
+        save_distance_matrix(dm, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text(encoding="utf-8") == text
 
     def test_float_metrics_12_significant_digits(self):
         dm = distance_matrix([R, S], "jaccard", ids=("a", "b"))
