@@ -99,13 +99,15 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
     label integers (A=0, N=1, T=2, pad=3 behind a leading sentinel digit),
     so comparing integers is comparing label strings; the per-crossing
     work beyond the k walk steps stays small enough that measured time
-    tracks n*k.  Each distinct arm is decoded to its label string once
-    per call, and the keys keep the order of their first crossing.
+    tracks n*k.  A thread end fills the pads with one shift and each
+    distinct arm is decoded once, two bits per label: time and memory are
+    linear in k for every k, except that an arm taking s steps (round a
+    closed thread, say) grows its integer one label per step, in time
+    quadratic in s with a small constant.  Keys keep first-crossing order.
     """
     if k < 1:
         raise ValueError(f"walk depth k must be >= 1, got {k}")
     nxt, top, opp = g._thread_arrays()
-    pow4 = [4 ** d for d in range(k + 1)]
     keys = []
     append = keys.append
     # The four walks are unrolled by hand and counting is batched at the
@@ -119,8 +121,7 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
         while left:
             j = nxt[cur]
             if j < 0:
-                scale = pow4[left - 1]
-                arm = (arm * 4 + 2) * scale + scale - 1  # T digit, then pads
+                arm = (arm * 4 + 3 << 2 * left - 2) - 1  # T digit, then pads: (4*arm + 3) * 4**(left - 1) - 1
                 break
             arm = arm * 4 + (0 if top[cur] != top[j] else 1)
             cur = opp[j]
@@ -132,8 +133,7 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
         while left:
             j = nxt[cur]
             if j < 0:
-                scale = pow4[left - 1]
-                arm = (arm * 4 + 2) * scale + scale - 1
+                arm = (arm * 4 + 3 << 2 * left - 2) - 1
                 break
             arm = arm * 4 + (0 if top[cur] != top[j] else 1)
             cur = opp[j]
@@ -145,8 +145,7 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
         while left:
             j = nxt[cur]
             if j < 0:
-                scale = pow4[left - 1]
-                arm = (arm * 4 + 2) * scale + scale - 1
+                arm = (arm * 4 + 3 << 2 * left - 2) - 1
                 break
             arm = arm * 4 + (0 if top[cur] != top[j] else 1)
             cur = opp[j]
@@ -158,8 +157,7 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
         while left:
             j = nxt[cur]
             if j < 0:
-                scale = pow4[left - 1]
-                arm = (arm * 4 + 2) * scale + scale - 1
+                arm = (arm * 4 + 3 << 2 * left - 2) - 1
                 break
             arm = arm * 4 + (0 if top[cur] != top[j] else 1)
             cur = opp[j]
@@ -193,19 +191,16 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
             append((a0, a1, b0, b1))
     # Key order is part of the output: the distance kernel sums in it.
     counts = Counter(keys)
-    text = {arm: _decode_arm(arm, k) for arm in set().union(*counts)}
+    text = {arm: _decode_arm(arm) for arm in set().union(*counts)}
     return Counter({
         f"{text[a0]},{text[a1]};{text[b0]},{text[b1]}": count
         for (a0, a1, b0, b1), count in counts.items()
     })
 
 
-def _decode_arm(arm: int, k: int) -> str:
-    chars = []
-    for _ in range(k):
-        arm, digit = divmod(arm, 4)
-        chars.append(_LABEL_CHARS[digit])
-    return "".join(reversed(chars))
+def _decode_arm(arm: int) -> str:
+    bits = bin(arm)[3:]  # past '0b' and the sentinel's 1: two bits per label
+    return "".join([_LABEL_CHARS[int(bits[i:i + 2], 2)] for i in range(0, len(bits), 2)])
 
 
 # --- .fp text format -------------------------------------------------------
@@ -245,6 +240,9 @@ def parse_neighborhood(key: str) -> Neighborhood:
 
 
 def fingerprint_to_text(fp: Fingerprint) -> str:
+    for nb, count in fp.items():  # write only what text_to_fingerprint reads back
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"count of {nb!r} must be an int >= 1, got {count!r}")
     lines = sorted(f"{format_neighborhood(nb)} {count}" for nb, count in fp.items())
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -274,8 +272,9 @@ def text_to_fingerprint(text: str) -> Fingerprint:
 
 
 def save_fingerprint(fp: Fingerprint, path) -> None:
+    text = fingerprint_to_text(fp)  # refuses before the file is made
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(fingerprint_to_text(fp))
+        fh.write(text)
 
 
 def load_fingerprint(path) -> Fingerprint:

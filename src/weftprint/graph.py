@@ -72,8 +72,8 @@ class TextileGraph:
     """Immutable crossing graph in flat-array form.
 
     ``next_node``, ``on_top`` and ``opposite`` are parallel arrays of
-    length ``4n`` for ``n`` crossings.  Instances are cheap views over
-    read-only numpy arrays; all operations on them are pure reads, so a
+    length ``4n`` for ``n`` crossings.  Instances hold read-only copies of
+    their input arrays; all operations on them are pure reads, so a
     graph can be shared freely across threads.
     A graph that breaks the model can be built, for :func:`validate` to
     report on, but not walked: its first walk runs :func:`validate` once,
@@ -85,9 +85,9 @@ class TextileGraph:
     opposite: np.ndarray
 
     def __post_init__(self):
-        nxt = np.ascontiguousarray(self.next_node, dtype=np.int64)
-        top = np.ascontiguousarray(self.on_top, dtype=np.bool_)
-        opp = np.ascontiguousarray(self.opposite, dtype=np.int64)
+        nxt = np.array(self.next_node, dtype=np.int64)
+        top = np.array(self.on_top, dtype=np.bool_)
+        opp = np.array(self.opposite, dtype=np.int64)
         for arr, name in ((nxt, "next_node"), (top, "on_top"), (opp, "opposite")):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")

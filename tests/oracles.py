@@ -8,7 +8,8 @@ oracle checks crossing by crossing and link by link in Python loops, and
 the pair-counting oracle enumerates every unordered pair of items.  The
 distance-CSV oracle writes row by row through ``csv.writer``, one cell
 formatted at a time.  The grid oracle lays out one crossing at a time.
-The corpus-spec oracle reads through ``configparser``.
+The corpus-spec oracle reads through ``configparser``.  The arm-code
+oracle peels one base-4 digit per ``divmod``.
 """
 
 import configparser
@@ -77,6 +78,15 @@ def naive_fingerprint(g, k):
         pairs = sorted([top_pair, bottom_pair])
         counts[f"{pairs[0][0]},{pairs[0][1]};{pairs[1][0]},{pairs[1][1]}"] += 1
     return counts
+
+
+def digit_loop_decode_arm(arm, k):
+    """Label string of a base-4 arm code (A=0, N=1, T=2, pad=3), last digit first."""
+    chars = []
+    for _ in range(k):
+        arm, digit = divmod(arm, 4)
+        chars.append(("ANT" + PAD)[digit])
+    return "".join(reversed(chars))
 
 
 def naive_validate(g):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from weftprint.fingerprint import (
     PAD,
+    _decode_arm,
     arm_walk,
     canonical_neighborhood,
     crossing_neighborhood,
@@ -28,7 +30,7 @@ from weftprint.weaves import (
     warp_above_weave,
 )
 
-from oracles import naive_fingerprint
+from oracles import digit_loop_decode_arm, naive_fingerprint
 
 
 def interior_warp_arm(w, h):
@@ -213,6 +215,27 @@ class TestFingerprint:
             ref = Counter(crossing_neighborhood(g, c, k) for c in range(n))
             assert list(fingerprint(g, k).items()) == list(ref.items())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda k: st.tuples(st.just(k), st.integers(4**k, 2 * 4**k - 1))))
+    def test_decode_arm_matches_digit_loop(self, k_arm):
+        # codes are a sentinel digit 1 and then k base-4 label digits
+        k, arm = k_arm
+        assert _decode_arm(arm) == digit_loop_decode_arm(arm, k)
+
+    def test_large_k_memory_is_linear(self):
+        # a table of 4**d for d <= k would hold ~50 MB at this depth
+        g = _one_crossing([TERMINAL] * 4)
+        k = 20_000
+        tracemalloc.start()
+        try:
+            fp = fingerprint(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arm = "T" + PAD * (k - 1)
+        assert fp == {f"{arm},{arm};{arm},{arm}": 1}
+        assert peak < 5_000_000
+
 
 def _one_crossing(nxt, top=(True, True, False, False), opp=(1, 0, 3, 2)):
     return TextileGraph(np.array(nxt), np.array(top), np.array(opp))
@@ -356,6 +379,20 @@ class TestFingerprintFiles:
 
     def test_text_accepts_a_plus_sign(self):
         assert text_to_fingerprint("A,A;A,A +3\n") == {"A,A;A,A": 3}
+
+    @pytest.mark.parametrize("count, shown", [("subtracted", "0"), (1.5, "1.5"), (-1, "-1"), (True, "True")],
+                             ids=["zero_after_subtract", "fraction", "negative", "bool"])
+    def test_text_writer_refuses_unreadable_counts(self, tmp_path, count, shown):
+        from weftprint.fingerprint import save_fingerprint
+
+        if count == "subtracted":
+            fp = Counter({"A,A;A,A": 2, "A,A;A,T": 1})
+            fp.subtract({"A,A;A,T": 1})
+        else:
+            fp = Counter({"A,A;A,A": 2, "A,A;A,T": count})
+        with pytest.raises(ValueError, match=f"^count of 'A,A;A,T' must be an int >= 1, got {shown}$"):
+            save_fingerprint(fp, tmp_path / "x.fp")
+        assert not (tmp_path / "x.fp").exists()
 
     def test_save_load(self, tmp_path):
         from weftprint.fingerprint import load_fingerprint, save_fingerprint

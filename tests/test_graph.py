@@ -18,6 +18,7 @@ from weftprint.graph import (
     serialize_graph,
     validate,
 )
+from weftprint.fingerprint import fingerprint
 from weftprint.weaves import grid_to_graph, plain_weave, random_weave
 
 from oracles import implied_partner_violations, naive_validate
@@ -490,3 +491,18 @@ def test_graph_equality_and_immutability():
     assert g != grid_to_graph(plain_weave(2, 2))
     with pytest.raises(ValueError):
         g.next_node[0] = 3
+
+
+def test_graph_copies_its_input_arrays():
+    g = closed_loop_graph()
+    base = g.next_node.copy()
+    top, opp = g.on_top.copy(), g.opposite.copy()
+    from_view = TextileGraph(base[:], top, opp)
+    before = fingerprint(from_view, 2)
+    base[0] = 5  # a write to the caller's array after the first walk
+    assert from_view.next_node[0] == 4
+    assert validate(from_view).ok
+    assert fingerprint(from_view, 2) == before
+    # the graph's arrays are read-only; the caller's stay writable
+    TextileGraph(base, top, opp)
+    assert base.flags.writeable and top.flags.writeable and opp.flags.writeable
