@@ -241,7 +241,7 @@ def parse_neighborhood(key: str) -> Neighborhood:
 
 def fingerprint_to_text(fp: Fingerprint) -> str:
     for nb, count in fp.items():  # write only what text_to_fingerprint reads back
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if type(count) is not int or count < 1:  # a bool is not an int here
             raise ValueError(f"count of {nb!r} must be an int >= 1, got {count!r}")
     lines = sorted(f"{format_neighborhood(nb)} {count}" for nb, count in fp.items())
     return "\n".join(lines) + "\n" if lines else ""
