@@ -44,9 +44,10 @@ import numpy as np
 from .graph import TextileGraph, _significant_lines, load_graph, save_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
+    _motif_pool,
+    _place_motifs,
     _read_number,
     grid_to_graph,
-    mixed_weave,
     parse_kind,
     perturb,
     transform,
@@ -131,19 +132,17 @@ def _sample_seed(category_seed: int, index: int, stream: int) -> np.random.SeedS
 _POOL_STREAM = 997  # category-level stream id for shared mixed-weave motif pools
 
 
-def _sample_matrix(cat: CategorySpec, seed: int, index: int):
-    name, args = parse_kind(cat.kind)
-    if name == "mixed":  # one motif pool per category; each sample only re-arranges it
-        pool_seed = np.random.SeedSequence([seed, _POOL_STREAM])
-        return mixed_weave(*args, cat.width, cat.height, pool_seed, _sample_seed(seed, index, 0))
-    return weave_matrix(cat.kind, cat.width, cat.height, seed=_sample_seed(seed, index, 0))
-
-
 def _category_items(cat: CategorySpec, fallback_seed: int):
     seed = cat.seed if cat.seed is not None else fallback_seed
+    name, args = parse_kind(cat.kind)
+    if name == "mixed":  # one motif pool per category, drawn once; each sample only re-arranges it
+        motifs = _motif_pool(*args, np.random.SeedSequence([seed, _POOL_STREAM]))
     n_clean = cat.count - cat.n_perturbed - cat.n_transformed
     for index in range(cat.count):
-        cells = _sample_matrix(cat, seed, index)
+        if name == "mixed":
+            cells = _place_motifs(motifs, cat.width, cat.height, _sample_seed(seed, index, 0))
+        else:
+            cells = weave_matrix(cat.kind, cat.width, cat.height, seed=_sample_seed(seed, index, 0))
         if n_clean <= index < n_clean + cat.n_perturbed:
             cells = perturb(cells, cat.perturb_rate, _sample_seed(seed, index, 1))
         elif index >= n_clean + cat.n_perturbed:

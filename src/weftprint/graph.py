@@ -23,12 +23,31 @@ level (non-alternating), or ends (terminated).
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 TERMINAL = -1
+
+# One int object per node id, shared by every graph's walk lists: _INTS[i + 1] is i from TERMINAL
+# up.  It only grows, by appending, so lists built from an older table keep their objects.
+_INTS = np.array([TERMINAL], dtype=object)
+_INTS_GROWTH = threading.Lock()
+
+
+def _int_table(top: int) -> np.ndarray:
+    """The shared int table, grown to hold ids up to ``top``; index the result, not the global."""
+    global _INTS
+    table = _INTS
+    if len(table) <= top + 1:
+        with _INTS_GROWTH:
+            table = _INTS
+            if len(table) <= top + 1:
+                table = np.concatenate((table, np.arange(len(table) - 1, top + 1).astype(object)))
+                _INTS = table
+    return table
 
 
 class EdgeLabel(str, Enum):
@@ -75,6 +94,9 @@ class TextileGraph:
     length ``4n`` for ``n`` crossings.  Instances hold read-only copies of
     their input arrays; all operations on them are pure reads, so a
     graph can be shared freely across threads.
+    The first walk caches the arrays as Python lists for the graph's life:
+    one pointer per node per list, to int objects that every graph shares
+    through one growing module table, so ids above 256 cost no int of their own.
     A graph that breaks the model can be built, for :func:`validate` to
     report on, but not walked: its first walk runs :func:`validate` once,
     unless :func:`parse_graph` or ``grid_to_graph`` made it.
@@ -122,11 +144,15 @@ class TextileGraph:
         # Every walk starts here; the first call checks the graph unless its
         # maker vouched for it.  Plain lists index ~3x faster than numpy
         # scalars in the walk loop; cache them once: the graph is immutable.
+        # Each entry points into the shared int table, which the check above
+        # makes safe to index (valid ids lie in [TERMINAL, node_count)): one
+        # pointer per node per list.  on_top's entries are the bool singletons.
         cached = self.__dict__.get("_lists")
         if cached is None:
             if not self.__dict__.get("_valid"):
                 _require_valid(self)
-            cached = (self.next_node.tolist(), self.on_top.tolist(), self.opposite.tolist())
+            ints = _int_table(self.node_count - 1)
+            cached = (ints[self.next_node + 1].tolist(), self.on_top.tolist(), ints[self.opposite + 1].tolist())
             object.__setattr__(self, "_lists", cached)
         return cached
 

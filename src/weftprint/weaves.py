@@ -98,8 +98,17 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
         raise ValueError(f"block size must be >= 1, got {block}")
     if pool < 1:
         raise ValueError(f"motif pool size must be >= 1, got {pool}")
-    pool_rng = np.random.default_rng(pool_seed)
-    motifs = [pool_rng.random((block, block)) < 0.5 for _ in range(pool)]
+    return _place_motifs(_motif_pool(block, pool, pool_seed), w, h, choice_seed)
+
+
+def _motif_pool(block: int, pool: int, pool_seed) -> np.ndarray:
+    """The ``(pool, block, block)`` motifs of ``pool_seed``, in one draw: the cells of one draw per motif."""
+    return np.random.default_rng(pool_seed).random((pool, block, block)) < 0.5
+
+
+def _place_motifs(motifs: np.ndarray, w: int, h: int, choice_seed) -> np.ndarray:
+    """The ``(h, w)`` mosaic of ``motifs`` that ``choice_seed`` picks, row by row."""
+    pool, block, _ = motifs.shape
     choice_rng = np.random.default_rng(choice_seed)
     blocks_down = -(-h // block)
     blocks_across = -(-w // block)

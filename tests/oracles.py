@@ -9,7 +9,8 @@ the pair-counting oracle enumerates every unordered pair of items.  The
 distance-CSV oracle writes row by row through ``csv.writer``, one cell
 formatted at a time.  The grid oracle lays out one crossing at a time.
 The corpus-spec oracle reads through ``configparser``.  The arm-code
-oracle peels one base-4 digit per ``divmod``.
+oracle peels one base-4 digit per ``divmod``.  The mosaic oracle draws
+one motif at a time and stacks the picked blocks.
 """
 
 import configparser
@@ -174,6 +175,18 @@ def loop_grid_arrays(cells):
             top += [bool(m[i, j])] * 2 + [not m[i, j]] * 2
             opp += [b + 1, b, b + 3, b + 2]
     return np.array(nxt, dtype=np.int64), np.array(top, dtype=np.bool_), np.array(opp, dtype=np.int64)
+
+
+def per_motif_mixed_weave(block, pool, w, h, pool_seed, choice_seed):
+    """``mixed_weave``'s mosaic with one pool draw per motif, stacked block by block."""
+    pool_rng = np.random.default_rng(pool_seed)
+    motifs = [pool_rng.random((block, block)) < 0.5 for _ in range(pool)]
+    choice_rng = np.random.default_rng(choice_seed)
+    rows = [
+        np.hstack([motifs[int(choice_rng.integers(pool))] for _ in range(-(-w // block))])
+        for _ in range(-(-h // block))
+    ]
+    return np.vstack(rows)[:h, :w]
 
 
 _SPEC_TYPES = {"kind": str, "count": int, "width": int, "height": int,

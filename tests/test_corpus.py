@@ -22,7 +22,7 @@ from weftprint.graph import validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
-from oracles import configparser_corpus_spec
+from oracles import configparser_corpus_spec, per_motif_mixed_weave
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -119,6 +119,17 @@ class TestGenerate:
         inter = min(jaccard_distance(fp, other) for fp in fps for other in unrelated)
         # ...but mutually closer than to matrices without the shared pool
         assert intra < inter
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 5), st.integers(1, 20), st.integers(1, 20),
+           st.integers(0, 2**32))
+    def test_mixed_pool_drawn_once_equals_per_sample_pools(self, block, pool, count, width, height, seed):
+        spec = CorpusSpec((CategorySpec("m", f"mixed({block},{pool})", count, width, height, seed=seed),))
+        for index, item in enumerate(generate_corpus(spec)):
+            pool_seed = np.random.SeedSequence([seed, 997])
+            cells = per_motif_mixed_weave(block, pool, width, height, pool_seed,
+                                          np.random.SeedSequence([seed, index, 0]))
+            assert item.graph == grid_to_graph(cells)
 
 
 class TestSpecValidation:

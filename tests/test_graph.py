@@ -1,10 +1,13 @@
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weftprint.graph as graph_module
 from weftprint.graph import (
     TERMINAL,
     EdgeLabel,
@@ -506,3 +509,77 @@ def test_graph_copies_its_input_arrays():
     # the graph's arrays are read-only; the caller's stay writable
     TextileGraph(base, top, opp)
     assert base.flags.writeable and top.flags.writeable and opp.flags.writeable
+
+
+# --- walk lists: one shared int object per node id ---------------------------------
+
+def reparsed(g):
+    """``g`` read back from text, through the canonical and the line reader in turn."""
+    text = serialize_graph(g)
+    return [parse_graph(text), parse_graph(text.replace(" ", "  "))]
+
+
+def walk_graphs(w, h, seed):
+    g = grid_to_graph(random_weave(0.5, w, h, seed))
+    return [g, *reparsed(g)]
+
+
+def fresh_int_table(monkeypatch):
+    monkeypatch.setattr(graph_module, "_INTS", np.array([TERMINAL], dtype=object))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.integers(0, 2**31))
+def test_walk_lists_equal_the_arrays(w, h, seed):
+    for g in walk_graphs(w, h, seed):
+        lists = g._thread_arrays()
+        for values, arr in zip(lists, (g.next_node, g.on_top, g.opposite)):
+            assert values == arr.tolist()
+            assert all(type(v) is type(x) for v, x in zip(values, arr.tolist()))
+        assert {type(v) for v in lists[0] + lists[2]} == {int}
+        assert TERMINAL in lists[0]
+
+
+def test_ids_above_256_share_one_object_across_graphs(monkeypatch):
+    fresh_int_table(monkeypatch)
+    objects = {}
+    for g in walk_graphs(9, 9, 1) + walk_graphs(14, 12, 2):  # 324 and 672 nodes
+        nxt, _, opp = g._thread_arrays()
+        for value in nxt + opp:
+            assert objects.setdefault(value, value) is value
+    assert max(objects) > 256
+
+
+def test_growing_table_leaves_earlier_lists_and_fingerprints(monkeypatch):
+    fresh_int_table(monkeypatch)
+    sizes = [(3, 3), (9, 9), (14, 14), (20, 17), (12, 12), (5, 4), (1, 1)]
+    graphs = [grid_to_graph(random_weave(0.5, w, h, seed)) for seed, (w, h) in enumerate(sizes)]
+    seen = []
+    for g in graphs:  # growing, then shrinking sizes
+        prints = [fingerprint(g, k) for k in (1, 3, 5)]
+        lists = g._thread_arrays()
+        seen.append((g, lists, [list(values) for values in lists], prints))
+        for earlier, cached, values, before in seen:
+            assert earlier._thread_arrays() is cached
+            assert list(cached) == values == [arr.tolist() for arr in
+                                              (earlier.next_node, earlier.on_top, earlier.opposite)]
+            assert [fingerprint(earlier, k) for k in (1, 3, 5)] == before
+    for g, _, _, before in seen:  # equal graphs walked from scratch read the same
+        assert [fingerprint(TextileGraph(g.next_node, g.on_top, g.opposite), k) for k in (1, 3, 5)] == before
+
+
+def test_first_walks_in_threads_match_serial_fingerprints(monkeypatch):
+    sizes = [(4, 4), (9, 9), (16, 13), (24, 24)]
+    serial = [[fingerprint(g, 3) for g in walk_graphs(w, h, seed)] for seed, (w, h) in enumerate(sizes)]
+    for _ in range(5):
+        fresh_int_table(monkeypatch)
+        barrier = threading.Barrier(len(sizes))
+
+        def walk(seed, w, h):
+            graphs = walk_graphs(w, h, seed)
+            barrier.wait()
+            return [fingerprint(g, 3) for g in graphs]
+
+        with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
+            futures = [pool.submit(walk, seed, w, h) for seed, (w, h) in enumerate(sizes)]
+            assert [f.result() for f in futures] == serial

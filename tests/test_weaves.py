@@ -22,7 +22,7 @@ from weftprint.weaves import (
     weave_matrix,
 )
 
-from oracles import loop_grid_arrays
+from oracles import loop_grid_arrays, per_motif_mixed_weave
 
 matrices = st.integers(1, 10).flatmap(
     lambda w: st.integers(1, 10).flatmap(
@@ -148,6 +148,13 @@ class TestMixedWeave:
     def test_deterministic(self):
         a = mixed_weave(5, 4, 20, 20, pool_seed=2, choice_seed=3)
         assert np.array_equal(a, mixed_weave(5, 4, 20, 20, pool_seed=2, choice_seed=3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 30), st.integers(1, 30),
+           st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_pool_drawn_at_once_equals_one_draw_per_motif(self, block, pool, w, h, pool_seed, choice_seed):
+        assert np.array_equal(mixed_weave(block, pool, w, h, pool_seed, choice_seed),
+                              per_motif_mixed_weave(block, pool, w, h, pool_seed, choice_seed))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="block"):
