@@ -23,7 +23,7 @@ from . import distance as distance_mod
 from . import evaluation as eval_mod
 from . import pipeline
 from .fingerprint import Fingerprint, fingerprint, save_fingerprint
-from .graph import _DECIMAL, load_graph
+from .graph import _DECIMAL, GraphParseError, InvalidGraphError, load_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -108,7 +108,7 @@ def _cmd_generate(args) -> int:
 def _fingerprint_file(path, k) -> Fingerprint:
     try:
         g = load_graph(path)
-    except ValueError as exc:  # an OSError names its file already
+    except (GraphParseError, InvalidGraphError) as exc:  # an OSError or a decode error names its file already
         raise ValueError(f"{path}: {exc}") from exc
     return fingerprint(g, k)
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import TextileGraph, _significant_lines, load_graph, save_graph, serialize_graph
+from .graph import TextileGraph, _read_text, _significant_lines, load_graph, save_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
     _motif_pool,
@@ -205,8 +205,7 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus_spec(fh.read())
+    return parse_corpus_spec(_read_text(path))
 
 
 # --- corpus directories ---------------------------------------------------------
@@ -234,11 +233,10 @@ def write_corpus(corpus, out_dir) -> Path:
 def read_manifest(path) -> list[tuple[str, Path, str]]:
     """Rows as (id, absolute path, category)."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            rows = list(csv.reader(fh, strict=True))
-        except csv.Error as exc:  # malformed quoting or a field over the size limit
-            raise ValueError(f"{path}: manifest: {exc}") from None
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path), newline=""), strict=True))
+    except csv.Error as exc:  # malformed quoting or a field over the size limit
+        raise ValueError(f"{path}: manifest: {exc}") from None
     rows = [r for r in rows if r]
     if not rows or rows[0] != ["id", "path", "category"]:
         raise ValueError(f"{path}: manifest must start with header 'id,path,category'")

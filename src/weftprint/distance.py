@@ -4,7 +4,7 @@ A fingerprint doubles as a frequency vector over the (implicit) space of
 all neighborhoods; only nonzero counts are stored.  Five measures:
 
 * ``jaccard`` -- 1 - sum(min)/sum(max), the multiset Jaccard distance
-* ``hbool``   -- symmetric difference of the supports (presence only)
+* ``hbool``   -- symmetric difference of the nonzero supports (presence only)
 * ``hfreq``   -- L1 distance of the count vectors, unnormalized
 * ``cosine``  -- 1 - cosine similarity of the raw count vectors
 * ``tfidf``   -- cosine distance after log TF-IDF weighting against
@@ -35,6 +35,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .graph import _read_text
+
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
 _EMPTY_JACCARD = "jaccard distance is undefined on empty fingerprints"
@@ -49,18 +51,17 @@ def _shared(r: Mapping, s: Mapping):
 
 def jaccard_distance(r: Mapping, s: Mapping) -> float:
     """Multiset Jaccard distance."""
-    if not r and not s:
-        raise ValueError(_EMPTY_JACCARD)
     inter_min = sum(min(a, b) for a, b in _shared(r, s))
     union = sum(r.values()) + sum(s.values()) - inter_min
-    if union == 0:  # keys present, but every count is zero
+    if union == 0:  # no key, or every count is zero
         raise ValueError(_EMPTY_JACCARD)
     return 1.0 - inter_min / union
 
 
 def hamming_bool_distance(r: Mapping, s: Mapping) -> int:
-    """Number of neighborhoods present in exactly one of the two."""
-    return len(r) + len(s) - 2 * sum(1 for _ in _shared(r, s))
+    """Number of neighborhoods present in exactly one of the two; a zero count is absent."""
+    present = sum(1 for c in r.values() if c) + sum(1 for c in s.values() if c)
+    return present - 2 * sum(1 for a, b in _shared(r, s) if a and b)
 
 
 def hamming_freq_distance(r: Mapping, s: Mapping) -> int:
@@ -275,6 +276,8 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
         if metric != "tfidf" and squares.max() >= 2.0**52:
             raise ValueError(f"counts too large for exact {metric} distances")
         norms = np.sqrt(squares)  # bincount adds each row left to right, as _norm does
+    else:  # a zero count is absent, as in the other measures
+        present = np.bincount(entry_row, weights=data != 0, minlength=n)
 
     # CSC copy: per key, the rows holding it in rank order, and each entry's slot there
     by_col = np.argsort(cols, kind="stable")
@@ -296,7 +299,8 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
         m = n - r - 1
         mine, theirs = np.repeat(data[lo:hi], lengths), col_data[take]
         if metric == "hbool":
-            d = sizes[r] + sizes[r + 1:] - 2.0 * np.bincount(partner, minlength=m)
+            shared = np.bincount(partner, weights=(mine != 0) & (theirs != 0), minlength=m)
+            d = present[r] + present[r + 1:] - 2.0 * shared
         elif metric in ("cosine", "tfidf"):
             d = _cosine_row(np.bincount(partner, weights=mine * theirs, minlength=m), norms[r], norms[r + 1:])
         else:
@@ -392,8 +396,8 @@ def _csv_rows(text: str):
     It is the one that reports errors, with the row, id and column.
     """
     try:
-        rows = [r for r in csv.reader(io.StringIO(text), strict=True) if r]
-    except csv.Error as exc:  # malformed quoting, a field over the size limit, or a bare CR inside one
+        rows = [r for r in csv.reader(io.StringIO(text, newline=""), strict=True) if r]
+    except csv.Error as exc:  # malformed quoting or a field over the size limit
         raise ValueError(f"distance CSV: {exc}") from None
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError("distance CSV must start with an 'id,...' header row")
@@ -424,5 +428,4 @@ def save_distance_matrix(dm: DistanceMatrix, path) -> None:
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    with open(path, "r", encoding="utf-8", newline="") as fh:  # a CR in a quoted id stays a CR
-        return csv_to_distance_matrix(fh.read())
+    return csv_to_distance_matrix(_read_text(path))  # a CR in a quoted id stays a CR

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .graph import GraphParseError, TextileGraph, _fields, _int_field, _significant_lines
+from .graph import GraphParseError, TextileGraph, _fields, _int_field, _read_text, _significant_lines
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -250,6 +250,7 @@ def fingerprint_to_text(fp: Fingerprint) -> str:
 def text_to_fingerprint(text: str) -> Fingerprint:
     """Parse ``.fp`` text; lines and fields follow the ``.tg`` rule, and errors carry their line and column."""
     fp: Counter = Counter()
+    first_line = {}
     key_length = None
     for lineno, raw, line in _significant_lines(text):
         fields = _fields(raw)
@@ -267,7 +268,10 @@ def text_to_fingerprint(text: str) -> Fingerprint:
             key_length = len(key)
         elif len(key) != key_length:
             raise GraphParseError("neighborhood depth differs from earlier lines", lineno, key_col)
-        fp[key] += count
+        if key in first_line:
+            raise GraphParseError(f"neighborhood {key_token!r} repeats line {first_line[key]}", lineno, key_col)
+        first_line[key] = lineno
+        fp[key] = count
     return fp
 
 
@@ -278,5 +282,4 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
 
 
 def load_fingerprint(path) -> Fingerprint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return text_to_fingerprint(fh.read())
+    return text_to_fingerprint(_read_text(path))

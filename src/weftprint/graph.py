@@ -26,6 +26,7 @@ import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -245,9 +246,9 @@ def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
 #   crossings <n>
 #   <id> <next> <top> <opp>        exactly 4n lines, id running 0..4n-1
 # '#' starts a comment line, blank lines are ignored.  Lines end at LF,
-# CR LF or CR only, as open() translates them; fields are separated by
-# ASCII spaces and tabs.  The .fp reader shares this rule.  next is -1 for
-# a thread end.
+# CR LF or CR only: files are read untranslated, and the readers split
+# them.  Fields are separated by ASCII spaces and tabs.  The .fp and spec
+# readers share this rule.  next is -1 for a thread end.
 
 _FORMAT_COMMENT = "# weftprint graph format 1"
 
@@ -263,6 +264,15 @@ _CANONICAL = re.compile(
 _LINE_END = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at FF, VT, NEL, U+2028
 _FIELD = re.compile(r"[^ \t]+")  # \S+ would also split at NBSP
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``, line ends as written; refuses other bytes by path and offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
 def _significant_lines(text):
@@ -281,7 +291,10 @@ def _fields(raw):
 def _int_field(token, lineno, column, what):
     if not _DECIMAL.fullmatch(token):
         raise GraphParseError(f"{what} is not an integer: {token!r}", lineno, column)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise GraphParseError(f"{what} has too many digits: {len(token)}", lineno, column) from None
 
 
 def _parse_canonical(text):
@@ -377,8 +390,7 @@ def serialize_graph(g: TextileGraph) -> str:
 
 
 def load_graph(path) -> TextileGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(g: TextileGraph, path) -> None:

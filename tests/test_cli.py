@@ -381,6 +381,22 @@ class TestExitCodes:
         parsed = load_corpus_spec(spec)
         assert len(parsed.categories) == 9
 
+    def test_non_utf8_files_are_named_once(self, tiny_corpus, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"crossings\xff 1\n")
+        out = str(tmp_path / "out")
+        commands = {
+            "fingerprint": ["--in", str(bad), "--k", "1", "--out", out],
+            "generate": ["--spec", str(bad), "--out-dir", out],
+            "distmatrix": ["--manifest", str(bad), "--metric", "hbool", "--k", "1", "--out", out],
+            "cluster": ["--dist", str(bad), "--clusters", "2", "--truth", str(tiny_corpus), "--report", out],
+        }
+        for command, args in commands.items():
+            assert main([command, *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"weftprint {command}: error: {bad}: not UTF-8: byte 9: invalid start byte" for command in commands
+        ]
+
 
 # A graph that parses but breaks the model: next(0) = 4, but next(4) is terminal.
 ASYMMETRIC_TG = ("crossings 2\n0 4 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n"

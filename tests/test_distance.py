@@ -94,6 +94,15 @@ class TestHamming:
             a, b = random_fingerprint(rng), random_fingerprint(rng)
             assert hamming_freq_distance(a, b) >= hamming_bool_distance(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 9)) for _ in range(2)])
+    @example({"a": 0, "b": 1}, {"b": 1})
+    def test_zero_count_is_absent_under_bool(self, a, b):
+        nonzero = [{p: c for p, c in fp.items() if c} for fp in (a, b)]
+        d = hamming_bool_distance(a, b)
+        assert d == hamming_bool_distance(*nonzero) <= hamming_freq_distance(a, b)
+        assert distance_matrix([a, b], "hbool").values[0, 1] == d
+
 
 class TestCosine:
     def test_worked_pair_value(self):
@@ -452,7 +461,7 @@ class TestDistanceCsv:
         with pytest.raises(ValueError, match=r"row 2 \('b'\): .* is not a decimal number in column 'a'"):
             csv_to_distance_matrix(f"id,a,b\na,0,1\nb,{cell},0\n")
 
-    @pytest.mark.parametrize("text", ["id,a\rb\na\rb,0\n", f"id,{'x' * 200_000}\n{'x' * 200_000},0\n",
+    @pytest.mark.parametrize("text", ['id,a\na,"0\n', f"id,{'x' * 200_000}\n{'x' * 200_000},0\n",
                                       'id,"a"x,b\nax,0,1\nb,1,0\n'])
     def test_csv_module_errors_are_value_errors(self, text):
         with pytest.raises(ValueError, match="distance CSV: "):

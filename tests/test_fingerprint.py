@@ -339,6 +339,11 @@ class TestFingerprintFiles:
         with pytest.raises(GraphParseError, match="^line 1, column 9: count must be >= 1, got 0$"):
             text_to_fingerprint("A,A;A,A 0\n")
 
+    def test_text_refuses_a_repeated_neighborhood(self):
+        # two spellings of one neighborhood are one neighborhood
+        with pytest.raises(GraphParseError, match="^line 3, column 2: neighborhood 'NT,AN;T0,AA' repeats line 1$"):
+            text_to_fingerprint("AA,T0;AN,NT 2\nAA,AA;AA,AA 1\n\tNT,AN;T0,AA 3\n")
+
     def test_text_reports_non_integer_count_with_line(self):
         # .fp errors are GraphParseErrors, a ValueError, placed as the .tg reader places them
         with pytest.raises(GraphParseError, match=r"^line 2, column 9: count is not an integer: 'x'$") as err:
@@ -366,7 +371,7 @@ class TestFingerprintFiles:
         with pytest.raises(GraphParseError, match="^line 2, column 9: ") as err:
             text_to_fingerprint(f"# note{char}more\nA,A;A,A x\n")
         assert err.value.line == 2
-        assert text_to_fingerprint("A,A;A,A 1\r\nA,A;A,T 2\rA,A;A,A 3") == {"A,A;A,A": 4, "A,A;A,T": 2}
+        assert text_to_fingerprint("A,A;A,A 1\r\nA,A;A,T 2\rN,N;A,A 3") == {"A,A;A,A": 1, "A,A;A,T": 2, "A,A;N,N": 3}
 
     def test_text_fields_split_at_spaces_and_tabs_only(self):
         assert text_to_fingerprint(" A,A;A,A\t\t2 \n") == {"A,A;A,A": 2}

@@ -1,4 +1,5 @@
 import pickle
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,11 +18,14 @@ from weftprint.graph import (
     _parse_canonical,
     _parse_lines,
     edge_label,
+    load_graph,
     parse_graph,
     serialize_graph,
     validate,
 )
-from weftprint.fingerprint import fingerprint
+from weftprint.corpus import load_corpus_spec, read_manifest
+from weftprint.distance import load_distance_matrix
+from weftprint.fingerprint import fingerprint, load_fingerprint
 from weftprint.weaves import grid_to_graph, plain_weave, random_weave
 
 from oracles import implied_partner_violations, naive_validate
@@ -112,6 +116,12 @@ class TestParse:
         with pytest.raises(GraphParseError, match=f"next index is not an integer: {token!r}") as err:
             parse_graph(text)
         assert (err.value.line, err.value.column) == (4, 3)
+
+    def test_integers_past_the_digit_limit_name_their_place(self):
+        # int() refuses more digits than sys.get_int_max_str_digits() allows
+        text = ONE_CROSSING.replace("2 -1 0 3", f"2 {'1' * 5000} 0 3")
+        with pytest.raises(GraphParseError, match="^line 4, column 3: next index has too many digits: 5000$"):
+            parse_graph(text)
 
     def test_signed_integers_are_accepted(self):
         text = ONE_CROSSING.replace("2 -1 0 3", "+2 -1 -0 +3")
@@ -583,3 +593,33 @@ def test_first_walks_in_threads_match_serial_fingerprints(monkeypatch):
         with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
             futures = [pool.submit(walk, seed, w, h) for seed, (w, h) in enumerate(sizes)]
             assert [f.result() for f in futures] == serial
+
+
+# --- reading files ---------------------------------------------------------------
+#
+# Every loader reads its file through one reader, as UTF-8 with the line ends as written.
+
+LOADERS = {
+    "graph": (load_graph, ONE_CROSSING),  # canonical: its CR LF and CR twins take the line reader
+    "fingerprint": (load_fingerprint, "A,A;A,A 1\n\nA,A;A,T 2\n"),
+    "spec": (load_corpus_spec, "[corpus]\nseed = 7\n\n[a]\nkind = plain\n"),
+    "distances": (load_distance_matrix, "id,a,b\na,0,1\nb,1,0\n"),
+    "manifest": (read_manifest, "id,path,category\na,a.tg,x\nb,b.tg,y\n"),
+}
+
+
+@pytest.mark.parametrize("load, text", LOADERS.values(), ids=LOADERS)
+def test_loaders_read_cr_lf_and_cr_files_as_their_lf_twin(tmp_path, load, text):
+    read = []
+    for name, end in [("lf", "\n"), ("cr_lf", "\r\n"), ("cr", "\r")]:
+        (tmp_path / name).write_bytes(text.replace("\n", end).encode())
+        read.append(load(tmp_path / name))
+    assert read[0] == read[1] == read[2]
+
+
+@pytest.mark.parametrize("load, text", LOADERS.values(), ids=LOADERS)
+def test_loaders_refuse_non_utf8_files_by_path(tmp_path, load, text):
+    path = tmp_path / "bad"
+    path.write_bytes(text[:5].encode() + b"\xff" + text[5:].encode())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: byte 5: invalid start byte$"):
+        load(path)
