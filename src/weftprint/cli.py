@@ -40,9 +40,12 @@ class _Parser(argparse.ArgumentParser):
 def _integer(text: str) -> int:
     # ASCII digits with an optional sign, as in the file formats; int()
     # would also take '٣', '1_0' and ' 9 '.
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +205,10 @@ def _parse_k_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not (sep and _DECIMAL.fullmatch(lo) and _DECIMAL.fullmatch(hi)):
         raise ValueError(f"--k-range must look like a..b, got {text!r}")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"--k-range bound has too many digits: {max(len(lo), len(hi))}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"--k-range needs 1 <= a <= b, got {text!r}")
     return range(lo, hi + 1)

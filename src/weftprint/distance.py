@@ -31,6 +31,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -187,14 +188,16 @@ class DistanceMatrix:
             raise ValueError("distance matrix ids must be unique")
         _refuse(self.ids, values, ~(np.isfinite(values) & (values >= 0)), "finite and >= 0")
         _refuse(self.ids, values, values != values.T, "symmetric")
-        if self.metric in INTEGER_METRICS:
-            fractional = np.empty(values.shape, dtype=bool)
-            for row, out in zip(values, fractional):  # row by row: no n*n float temporary
-                np.not_equal(np.rint(row), row, out=out)
-            _refuse(self.ids, values, fractional, f"whole numbers under {self.metric}")
         values.flags.writeable = False
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "values", values)
+        if self.metric in INTEGER_METRICS and not self.whole:
+            _refuse(self.ids, values, np.rint(values) != values, f"whole numbers under {self.metric}")
+
+    @cached_property
+    def whole(self) -> bool:
+        """Whether every cell is a whole number, tested row by row up to the first fractional row."""
+        return all(np.array_equal(np.rint(row), row) for row in self.values)
 
     def index_of(self, item_id: str) -> int:
         try:
@@ -246,8 +249,9 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     tie.  Row ``a`` is paired with every later-ranked row through the
     posting lists of its own keys, in its own key order, so ``np.bincount``
     adds each pair's products in the same order as the per-pair loop.
-    Memory grows with the total support size, never with n times the
-    vocabulary.
+    hbool is hfreq over presence: its counts become 0/1 before any float
+    conversion, and one Σmin row serves jaccard, hfreq and hbool.  Memory
+    grows with the total support size, never with n times the vocabulary.
     """
     n = len(vectors)
     support = np.array([len(v) for v in vectors], dtype=np.int64)
@@ -266,18 +270,19 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     cols = np.array(keys, dtype=np.int64)
     data = np.array(counts)
     entry_row = np.repeat(np.arange(n), sizes)
-    if metric in ("jaccard", "hfreq", "cosine") and data.size:
-        if data.dtype.kind not in "iu" or data.min() < 0:
-            raise ValueError(f"{metric} distance needs non-negative integer counts")
+    if metric == "hbool":  # hfreq over presence: each count's truth value, as hamming_bool_distance reads it
+        data = data.astype(bool)
+    elif metric != "tfidf" and data.size and (data.dtype.kind not in "iu" or data.min() < 0):
+        # numpy stores whole counts past the int64 range as float or object
+        large = data.dtype.kind in "fO" and all(isinstance(c, int) for c in counts) and min(counts) >= 0
+        raise ValueError(f"counts too large for exact {metric} distances" if large
+                         else f"{metric} distance needs non-negative integer counts")
     data = data.astype(np.float64)
-    if metric != "hbool":  # hbool reads presence only: its counts may square past the float range
-        squares = np.bincount(entry_row, weights=data * data, minlength=n)
-        # every aggregate is bounded by a row's sum of squares: keep it float-exact
-        if metric != "tfidf" and squares.max() >= 2.0**52:
-            raise ValueError(f"counts too large for exact {metric} distances")
-        norms = np.sqrt(squares)  # bincount adds each row left to right, as _norm does
-    else:  # a zero count is absent, as in the other measures
-        present = np.bincount(entry_row, weights=data != 0, minlength=n)
+    squares = np.bincount(entry_row, weights=data * data, minlength=n)
+    # every aggregate is bounded by a row's sum of squares (its support size under hbool): keep it float-exact
+    if metric != "tfidf" and squares.max() >= 2.0**52:
+        raise ValueError(f"counts too large for exact {metric} distances")
+    norms = np.sqrt(squares)  # bincount adds each row left to right, as _norm does
 
     # CSC copy: per key, the rows holding it in rank order, and each entry's slot there
     by_col = np.argsort(cols, kind="stable")
@@ -298,20 +303,14 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
         partner = col_rows[take] - (r + 1)
         m = n - r - 1
         mine, theirs = np.repeat(data[lo:hi], lengths), col_data[take]
-        if metric == "hbool":
-            shared = np.bincount(partner, weights=(mine != 0) & (theirs != 0), minlength=m)
-            d = present[r] + present[r + 1:] - 2.0 * shared
-        elif metric in ("cosine", "tfidf"):
+        if metric in ("cosine", "tfidf"):
             d = _cosine_row(np.bincount(partner, weights=mine * theirs, minlength=m), norms[r], norms[r + 1:])
         else:
             summin = np.bincount(partner, weights=np.minimum(mine, theirs), minlength=m)
             union = totals[r] + totals[r + 1:] - summin  # sum of max
-            if metric == "hfreq":
-                d = union - summin
-            elif union.all():
-                d = 1.0 - summin / union
-            else:
+            if metric == "jaccard" and not union.all():
                 raise ValueError(_EMPTY_JACCARD)
+            d = union - summin if metric in INTEGER_METRICS else 1.0 - summin / union
         values[order[r], order[r + 1:]] = d
         values[order[r + 1:], order[r]] = d
     return values
@@ -337,8 +336,8 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
 
     ``csv.writer`` spells each id, so Python's own rule decides its quoting;
     its CR LF row end makes it quote a CR in an id as it quotes an LF.
-    Each row is one ``%`` format of one matrix row: ``%d`` when every cell
-    is whole, whatever the metric, which is exact at any size, else
+    Each row is one ``%`` format of one matrix row: ``%d`` when
+    ``dm.whole``, whatever the metric, which is exact at any size, else
     ``%.12g``, which is ``format(x, ".12g")``.  Rows are converted one at
     a time, so no n*n list of Python objects is held.
     """
@@ -347,8 +346,7 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
         quoted.append(buf.getvalue()[:-3])
-    whole = all(np.array_equal(np.rint(row), row) for row in dm.values)  # stops at the first fractional row
-    fmt = (",%d" if whole else ",%.12g") * len(quoted)
+    fmt = (",%d" if dm.whole else ",%.12g") * len(quoted)
     lines = [",".join(["id", *quoted]) + "\n"]
     lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, dm.values)]
     return "".join(lines)

@@ -130,7 +130,10 @@ def _read_number(text: str, as_type: type, where: str):
     rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
     if not rule.fullmatch(text):
         raise ValueError(f"{where}: {text!r} is not {noun}")
-    return as_type(text)
+    try:
+        return as_type(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{where}: integer has too many digits: {len(text)}") from None
 
 
 def _mixed_from_seed(block: int, pool: int, w: int, h: int, seed) -> np.ndarray:

@@ -20,7 +20,9 @@ DESK_SCALE_KINDS = (
 )
 
 
-# Corpus specs whose numbers int() or float() would take, and the message each is refused with.
+# Corpus specs whose numbers int() or float() would take, or whose integers have more
+# digits than int() reads (sys.get_int_max_str_digits()), and the message each is refused with.
+DIGITS_5000 = "1" * 5000
 MISSPELLED_SPECS = [
     ("[corpus]\nseed = 1_0\n\n[a]\nkind = plain\n", r"section 'corpus': seed: '1_0' is not an integer"),
     ("[a]\nkind = plain\ncount = \u0663\n", r"category 'a': count: '\u0663' is not an integer"),
@@ -32,6 +34,10 @@ MISSPELLED_SPECS = [
      r"category 'a': transform_fraction: '\u0660.5' is not a decimal number"),
     ("[a]\nkind = twill(\u0662,1)\n", r"weave kind 'twill\(\u0662,1\)': '\u0662' is not an integer"),
     ("[a]\nkind = random(1_0)\n", r"weave kind 'random\(1_0\)': '1_0' is not a decimal number"),
+    pytest.param(f"[a]\nkind = plain\ncount = {DIGITS_5000}\n",
+                 r"category 'a': count: integer has too many digits: 5000", id="count-past-digit-limit"),
+    pytest.param(f"[a]\nkind = twill({DIGITS_5000},1)\n",
+                 rf"weave kind 'twill\({DIGITS_5000},1\)': integer has too many digits: 5000", id="kind-past-digit-limit"),
 ]
 
 

@@ -304,7 +304,8 @@ class TestBench:
         (["--metrics", "jaccard,euclid"], "unknown metric 'euclid', expected one of " + str(METRICS)),
         (["--repeats", "0"], "--repeats must be >= 1"),
         (["--metrics", "jaccard\u00a0,\u2028hbool"], "unknown metric 'jaccard\\xa0', expected one of " + str(METRICS)),
-    ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats", "unicode_blank_metric"])
+        (["--k-range", "1.." + "1" * 5000], "--k-range bound has too many digits: 5000"),
+    ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats", "unicode_blank_metric", "k_past_digit_limit"])
     def test_refused_values_are_data_errors(self, tmp_path, capsys, flags, message):
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC)
@@ -325,7 +326,8 @@ class TestBench:
 
 class TestIntegerFlags:
     # Flags take the file formats' integer rule: ASCII digits and a sign.
-    BAD = ["\u0663", "1_0", " 9 ", "9 "]
+    # the last is past int()'s digit limit (sys.get_int_max_str_digits())
+    BAD = ["\u0663", "1_0", " 9 ", "9 ", pytest.param("1" * 5000, id="5000_digits")]
 
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("flag", ["--seed", "--k", "--clusters", "--repeats"])

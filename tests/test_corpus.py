@@ -317,7 +317,7 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize("text, message", MISSPELLED_SPECS)
     def test_numbers_take_ascii_spellings_only(self, text, message):
-        # int() and float() take every one of these
+        # int() and float() take every one of these but the ones past int()'s digit limit
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_corpus_spec(text)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -309,10 +310,24 @@ class TestDistanceMatrix:
 
 
     def test_counts_must_be_non_negative_integers(self):
-        for bad in (Counter({"p": 1.5}), Counter({"p": -1})):
+        for bad in (Counter({"p": 1.5}), Counter({"p": -1}), Counter({"p": -2**70})):
             for metric in ("jaccard", "hfreq", "cosine"):
                 with pytest.raises(ValueError, match="non-negative integer counts"):
                     distance_matrix([R, bad], metric)
+        # non-negative integers all the same, which numpy stores as float or object: the bound's rule
+        for big in (2**63, 2**64, 10**4999):  # the last has 5000 digits
+            for metric in ("jaccard", "hfreq", "cosine"):
+                with pytest.raises(ValueError, match=f"^counts too large for exact {metric} distances$"):
+                    distance_matrix([R, Counter({"p": big})], metric)
+
+    def test_whole_is_one_cached_read_only_test(self):
+        dm = DistanceMatrix(("a", "b"), [[0, 1], [1, 0]], "hbool")
+        assert dm.whole is True and "whole" in vars(dm)  # the hbool check computed it
+        with mock.patch.object(np, "rint", side_effect=AssertionError("scanned again")):
+            assert distance_matrix_to_csv(dm) == "id,a,b\na,0,1\nb,1,0\n"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dm.whole = False
+        assert DistanceMatrix(("a", "b"), [[0, 0.5], [0.5, 0]], "jaccard").whole is False
 
     def test_negative_thread_count_rejected(self):
         with pytest.raises(ValueError, match="threads"):
@@ -333,10 +348,10 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def assert_kernel_matches_pairs(fps):
+def assert_kernel_matches_pairs(fps, metrics=METRICS):
     stats = corpus_stats(fps)
     n = len(fps)
-    for metric in METRICS:
+    for metric in metrics:
         try:
             want = {(i, j): pair_distance(fps[i], fps[j], metric, stats)
                     for i in range(n) for j in range(i + 1, n)}
@@ -397,6 +412,12 @@ class TestKernelMatchesPairDistance:
     @given(corpora(st.dictionaries(KEYS, COUNTS, min_size=1, max_size=1).map(Counter)))
     def test_one_key_fingerprints(self, fps):
         assert_kernel_matches_pairs(fps)
+
+    @settings(deadline=None)
+    @given(corpora(st.dictionaries(KEYS, COUNTS | st.integers(2**1024, 2**1100), max_size=6).map(Counter)))
+    @example([Counter({"a": 2**1100, "b": 1}), Counter({"a": 1})])  # hbool 1.0, not an OverflowError
+    def test_hbool_counts_past_the_float_range(self, fps):
+        assert_kernel_matches_pairs(fps, ("hbool",))
 
     def test_desk_corpus_all_metrics(self, desk_fingerprints):
         _, fps = desk_fingerprints[4]
