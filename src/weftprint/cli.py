@@ -23,7 +23,7 @@ from . import distance as distance_mod
 from . import evaluation as eval_mod
 from . import pipeline
 from .fingerprint import Fingerprint, fingerprint, save_fingerprint
-from .graph import _DECIMAL, GraphParseError, InvalidGraphError, load_graph
+from .graph import _DECIMAL, GraphParseError, InvalidGraphError, _shown, load_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -45,7 +45,7 @@ def _integer(text: str) -> int:
             return int(text)
         except ValueError:  # past sys.get_int_max_str_digits()
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

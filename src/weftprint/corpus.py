@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import TextileGraph, _read_text, _significant_lines, load_graph, save_graph, serialize_graph
+from .graph import TextileGraph, _read_text, _shown, _significant_lines, load_graph, save_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
     _motif_pool,
@@ -75,7 +75,7 @@ class CategorySpec:
         try:  # each generator owns its argument ranges: build one 1x1 sample to apply them
             weave_matrix(self.kind, 1, 1, seed=0)
         except ValueError as exc:
-            raise ValueError(f"category {self.name!r}: weave kind {self.kind!r}: {exc}") from None
+            raise ValueError(f"category {self.name!r}: weave kind {_shown(self.kind)}: {exc}") from None
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
         if self.seed is not None and self.seed < 0:

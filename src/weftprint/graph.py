@@ -32,23 +32,34 @@ import numpy as np
 
 TERMINAL = -1
 
-# One int object per node id, shared by every graph's walk lists: _INTS[i + 1] is i from TERMINAL
-# up.  It only grows, by appending, so lists built from an older table keep their objects.
-_INTS = np.array([TERMINAL], dtype=object)
-_INTS_GROWTH = threading.Lock()
+
+class _Table:
+    """A module table with one row per node id from TERMINAL up: ``rows[i + 1]`` is id i's.
+
+    It only grows, by appending under a lock, so whatever was read from an
+    older copy of ``rows`` keeps its objects.
+    """
+
+    def __init__(self, make):
+        self._make = make  # make(lo, hi): the rows of ids lo .. hi-1
+        self._growth = threading.Lock()
+        self.rows = make(TERMINAL, 0)
+
+    def upto(self, top: int) -> np.ndarray:
+        """The rows, grown to hold ids up to ``top``; index the result, not ``self.rows``."""
+        rows = self.rows
+        if len(rows) <= top + 1:
+            with self._growth:
+                rows = self.rows
+                if len(rows) <= top + 1:
+                    rows = self.rows = np.concatenate((rows, self._make(len(rows) - 1, top + 1)))
+        return rows
 
 
-def _int_table(top: int) -> np.ndarray:
-    """The shared int table, grown to hold ids up to ``top``; index the result, not the global."""
-    global _INTS
-    table = _INTS
-    if len(table) <= top + 1:
-        with _INTS_GROWTH:
-            table = _INTS
-            if len(table) <= top + 1:
-                table = np.concatenate((table, np.arange(len(table) - 1, top + 1).astype(object)))
-                _INTS = table
-    return table
+# One int object per node id, shared by every graph's walk lists.
+_INTS = _Table(lambda lo, hi: np.arange(lo, hi).astype(object))
+# Each id's two .tg tokens, "<id> " and "<id>\n", shared by every serialize_graph call.
+_TOKENS = _Table(lambda lo, hi: np.array([(f"{i} ", f"{i}\n") for i in range(lo, hi)], dtype=object))
 
 
 class EdgeLabel(str, Enum):
@@ -99,8 +110,9 @@ class TextileGraph:
     one pointer per node per list, to int objects that every graph shares
     through one growing module table, so ids above 256 cost no int of their own.
     A graph that breaks the model can be built, for :func:`validate` to
-    report on, but not walked: its first walk runs :func:`validate` once,
-    unless :func:`parse_graph` or ``grid_to_graph`` made it.
+    report on, but not walked or serialized: the first walk or
+    :func:`serialize_graph` runs :func:`validate` once, unless
+    :func:`parse_graph` or ``grid_to_graph`` made the graph.
     """
 
     next_node: np.ndarray
@@ -150,9 +162,8 @@ class TextileGraph:
         # pointer per node per list.  on_top's entries are the bool singletons.
         cached = self.__dict__.get("_lists")
         if cached is None:
-            if not self.__dict__.get("_valid"):
-                _require_valid(self)
-            ints = _int_table(self.node_count - 1)
+            _require_valid(self)
+            ints = _INTS.upto(self.node_count - 1)
             cached = (ints[self.next_node + 1].tolist(), self.on_top.tolist(), ints[self.opposite + 1].tolist())
             object.__setattr__(self, "_lists", cached)
         return cached
@@ -215,10 +226,13 @@ def validate(g: TextileGraph) -> ValidationReport:
 
 
 def _require_valid(g: TextileGraph) -> TextileGraph:
-    report = validate(g)
-    if not report.ok:
-        raise InvalidGraphError(report.violations)
-    return _vouch(g)
+    """``g``, checked once: raises :class:`InvalidGraphError` unless it is valid or vouched for."""
+    if not g.__dict__.get("_valid"):
+        report = validate(g)
+        if not report.ok:
+            raise InvalidGraphError(report.violations)
+        _vouch(g)
+    return g
 
 
 def _vouch(g: TextileGraph) -> TextileGraph:
@@ -254,16 +268,19 @@ _FORMAT_COMMENT = "# weftprint graph format 1"
 
 # The spelling serialize_graph writes: an optional format comment, the
 # header, then 4n lines of four single-space-separated integers without
-# signs or leading zeros.  Text spelled this way is read in one regex pass
-# and one numpy conversion; anything else goes to the line-by-line reader.
-_INT = r"(?:0|[1-9][0-9]{0,17})"
-_CANONICAL = re.compile(
-    rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n"
-    rf"((?:{_INT} (?:-1|{_INT}) [01] {_INT}\n)*)"
-)
+# signs or leading zeros, of 1-18 digits.  Text spelled this way is checked
+# with byte masks and read in one numpy conversion; anything else goes to
+# the line-by-line reader.
+_CANONICAL_HEADER = re.compile(rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n")
+_SPACE, _LF, _MINUS, _ZERO, _ONE, _NINE = b" \n-019"
 _LINE_END = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at FF, VT, NEL, U+2028
 _FIELD = re.compile(r"[^ \t]+")  # \S+ would also split at NBSP
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
+
+
+def _shown(text: str) -> str:
+    """``repr(text)`` for a message; past 40 characters, the first 20, ``…`` and the length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}… ({len(text)} characters)"
 
 
 def _read_text(path) -> str:
@@ -303,15 +320,37 @@ def _parse_canonical(text):
     ``None`` only means "not canonical": the caller then runs
     :func:`_parse_lines`, which accepts or rejects the text itself.
     """
-    match = _CANONICAL.fullmatch(text)
-    if match is None:
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
         return None
-    size = 4 * int(match.group(1))
-    fields = np.fromstring(match.group(2), dtype=np.int64, sep=" ")
-    if fields.size != 4 * size:
+    size = 4 * int(header.group(1))
+    rest = text[header.end():]
+    if not rest.isascii():
         return None
-    ids, nxt, top, opp = fields.reshape(size, 4).T
-    if not np.array_equal(ids, np.arange(size)) or nxt.max() >= size or opp.max() >= size:
+    raw = rest.encode("ascii")
+    body = np.frombuffer(raw, dtype=np.uint8)
+    # Separators: " ", " ", " ", "\n" on each of the 4n node lines, the last ending the text.
+    ends = np.flatnonzero(body <= _SPACE)  # control bytes too, for the next check to refuse
+    if len(ends) != 4 * size or ends[-1] != len(body) - 1:
+        return None
+    seps = body[ends]
+    if not (seps[3::4] == _LF).all() or np.count_nonzero(seps == _SPACE) != 3 * size:
+        return None
+    # Fields: 1-18 characters without a leading zero.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    first = body[starts]
+    if lengths.min() < 1 or lengths.max() > 18 or ((first == _ZERO) & (lengths > 1)).any():
+        return None
+    # Every other byte is a digit, but for the "-" of a next index that reads "-1".
+    signed = first[1::4] == _MINUS
+    if (lengths[1::4][signed] != 2).any() or (body[starts[1::4][signed] + 1] != _ONE).any():
+        return None
+    digits = np.count_nonzero((body >= _ZERO) & (body <= _NINE))
+    if digits + len(ends) + np.count_nonzero(signed) != len(body):
+        return None
+    ids, nxt, top, opp = np.fromstring(raw, dtype=np.int64, sep=" ").reshape(size, 4).T
+    if not np.array_equal(ids, np.arange(size)) or nxt.max() >= size or top.max() > 1 or opp.max() >= size:
         return None
     return nxt, top.astype(np.bool_), opp
 
@@ -382,11 +421,15 @@ def parse_graph(text: str) -> TextileGraph:
 
 
 def serialize_graph(g: TextileGraph) -> str:
-    """Canonical ``.tg`` text; inverse of :func:`parse_graph` for valid graphs."""
-    # One %-format over plain ints from .tolist(); numpy scalars format slowly.
-    rows = np.column_stack([np.arange(g.node_count), g.next_node, g.on_top, g.opposite])
-    body = ("%d %d %d %d\n" * g.node_count) % tuple(rows.ravel().tolist())
-    return f"{_FORMAT_COMMENT}\ncrossings {g.crossing_count}\n{body}"
+    """Canonical ``.tg`` text; inverse of :func:`parse_graph`.
+
+    Raises :class:`InvalidGraphError` for a graph that breaks the model, as
+    its first walk would, before any id indexes the token table.
+    """
+    _require_valid(g)
+    rows = np.column_stack([np.arange(g.node_count), g.next_node, g.on_top, g.opposite]) + 1
+    tokens = _TOKENS.upto(g.node_count - 1)[rows, (0, 0, 0, 1)]  # the last field ends its line
+    return f"{_FORMAT_COMMENT}\ncrossings {g.crossing_count}\n" + "".join(tokens.ravel().tolist())
 
 
 def load_graph(path) -> TextileGraph:
@@ -394,5 +437,6 @@ def load_graph(path) -> TextileGraph:
 
 
 def save_graph(g: TextileGraph, path) -> None:
+    text = serialize_graph(g)  # before the file is made: a graph that breaks the model leaves none
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_graph(g))
+        fh.write(text)

@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from .distance import _CELL
-from .graph import _DECIMAL, TERMINAL, TextileGraph, _vouch
+from .graph import _DECIMAL, TERMINAL, TextileGraph, _shown, _vouch
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -129,7 +129,7 @@ def _read_number(text: str, as_type: type, where: str):
     """
     rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
     if not rule.fullmatch(text):
-        raise ValueError(f"{where}: {text!r} is not {noun}")
+        raise ValueError(f"{where}: {_shown(text)} is not {noun}")
     try:
         return as_type(text)
     except ValueError:  # past sys.get_int_max_str_digits()
@@ -160,15 +160,15 @@ def parse_kind(kind: str) -> tuple[str, list]:
     """
     m = _KIND_RE.fullmatch(kind)
     if not m:
-        raise ValueError(f"unparseable weave kind {kind!r}")
+        raise ValueError(f"unparseable weave kind {_shown(kind)}")
     name, argtext = m.groups()
     if name not in _KINDS:
-        raise ValueError(f"unknown weave kind {name!r}")
+        raise ValueError(f"unknown weave kind {_shown(name)}")
     args = [a.strip(" \t") for a in argtext.split(",")] if argtext else []
     types = _KINDS[name][0]
     if len(args) != len(types):
-        raise ValueError(f"weave kind {kind!r} takes {len(types)} parameter(s), got {len(args)}")
-    return name, [_read_number(a, t, f"weave kind {kind!r}") for a, t in zip(args, types)]
+        raise ValueError(f"weave kind {_shown(kind)} takes {len(types)} parameter(s), got {len(args)}")
+    return name, [_read_number(a, t, f"weave kind {_shown(kind)}") for a, t in zip(args, types)]
 
 
 def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:

@@ -21,7 +21,8 @@ DESK_SCALE_KINDS = (
 
 
 # Corpus specs whose numbers int() or float() would take, or whose integers have more
-# digits than int() reads (sys.get_int_max_str_digits()), and the message each is refused with.
+# digits than int() reads (sys.get_int_max_str_digits()), and the message each is refused with;
+# a value past 40 characters is echoed cut short.
 DIGITS_5000 = "1" * 5000
 MISSPELLED_SPECS = [
     ("[corpus]\nseed = 1_0\n\n[a]\nkind = plain\n", r"section 'corpus': seed: '1_0' is not an integer"),
@@ -37,7 +38,11 @@ MISSPELLED_SPECS = [
     pytest.param(f"[a]\nkind = plain\ncount = {DIGITS_5000}\n",
                  r"category 'a': count: integer has too many digits: 5000", id="count-past-digit-limit"),
     pytest.param(f"[a]\nkind = twill({DIGITS_5000},1)\n",
-                 rf"weave kind 'twill\({DIGITS_5000},1\)': integer has too many digits: 5000", id="kind-past-digit-limit"),
+                 r"weave kind 'twill\(11111111111111'… \(5009 characters\): integer has too many digits: 5000",
+                 id="kind-past-digit-limit"),
+    pytest.param(f"[a]\nkind = plain\ncount = {'x' * 5000}\n",
+                 r"category 'a': count: 'xxxxxxxxxxxxxxxxxxxx'… \(5000 characters\) is not an integer",
+                 id="long-count"),
 ]
 
 

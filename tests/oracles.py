@@ -10,12 +10,15 @@ distance-CSV oracle writes row by row through ``csv.writer``, one cell
 formatted at a time.  The grid oracle lays out one crossing at a time.
 The corpus-spec oracle reads through ``configparser``.  The arm-code
 oracle peels one base-4 digit per ``divmod``.  The mosaic oracle draws
-one motif at a time and stacks the picked blocks.
+one motif at a time and stacks the picked blocks.  The canonical ``.tg``
+oracles are one backtracking regex plus ``np.fromstring`` for reading and
+one ``%``-format over every field for writing.
 """
 
 import configparser
 import csv
 import io
+import re
 from itertools import combinations
 
 from statistics import fmean
@@ -24,7 +27,7 @@ import numpy as np
 
 from weftprint.corpus import CategorySpec, CorpusSpec
 from weftprint.fingerprint import PAD
-from weftprint.graph import TERMINAL
+from weftprint.graph import _FORMAT_COMMENT, TERMINAL
 
 
 def explicit_hypergraph(g):
@@ -88,6 +91,35 @@ def digit_loop_decode_arm(arm, k):
         arm, digit = divmod(arm, 4)
         chars.append(("ANT" + PAD)[digit])
     return "".join(reversed(chars))
+
+
+_INT = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL = re.compile(
+    rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n"
+    rf"((?:{_INT} (?:-1|{_INT}) [01] {_INT}\n)*)"
+)
+
+
+def regex_parse_canonical(text):
+    """``graph._parse_canonical`` as one regex over the whole text and one ``np.fromstring``."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    size = 4 * int(match.group(1))
+    fields = np.fromstring(match.group(2), dtype=np.int64, sep=" ")
+    if fields.size != 4 * size:
+        return None
+    ids, nxt, top, opp = fields.reshape(size, 4).T
+    if not np.array_equal(ids, np.arange(size)) or nxt.max() >= size or opp.max() >= size:
+        return None
+    return nxt, top.astype(np.bool_), opp
+
+
+def format_serialize_graph(g):
+    """``graph.serialize_graph`` as one ``%``-format over plain ints, with no model check."""
+    rows = np.column_stack([np.arange(g.node_count), g.next_node, g.on_top, g.opposite])
+    body = ("%d %d %d %d\n" * g.node_count) % tuple(rows.ravel().tolist())
+    return f"{_FORMAT_COMMENT}\ncrossings {g.crossing_count}\n{body}"
 
 
 def naive_validate(g):

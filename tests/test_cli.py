@@ -326,8 +326,9 @@ class TestBench:
 
 class TestIntegerFlags:
     # Flags take the file formats' integer rule: ASCII digits and a sign.
-    # the last is past int()'s digit limit (sys.get_int_max_str_digits())
+    # the last is past int()'s digit limit (sys.get_int_max_str_digits()), and echoed cut short
     BAD = ["\u0663", "1_0", " 9 ", "9 ", pytest.param("1" * 5000, id="5000_digits")]
+    ECHO = {"1" * 5000: f"{'1' * 20!r}… (5000 characters)"}
 
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("flag", ["--seed", "--k", "--clusters", "--repeats"])
@@ -341,7 +342,9 @@ class TestIntegerFlags:
                           "--out", str(tmp_path / "b.csv")],
         }[flag]
         assert main(argv) == 1
-        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid int value: {self.ECHO.get(value, repr(value))}" in err
+        assert len(err) < 1000
         assert not any(tmp_path.iterdir())
 
     def test_non_numeric_value_keeps_the_argparse_message(self, capsys):
@@ -473,6 +476,25 @@ class TestFingerprintPool:
         assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
                                    "--k", "0", "--out", str(tmp_path / "d.csv")]) == 2
         assert capsys.readouterr().err == "weftprint distmatrix: error: walk depth k must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_generated_files_never_take_the_line_reader(self, tiny_corpus, tmp_path, cpus):
+        # A generated file off the canonical reader would keep every output and lose the speed.
+        # Pool workers fork, so they inherit the failing line reader.
+        def line_reader(text):
+            raise AssertionError("a .tg file took the line-by-line reader")
+
+        corpus = tiny_corpus.parent
+        fingerprint = ["fingerprint", "--in", str(corpus), "--k", "2", "--out", str(tmp_path / "fps")]
+        with mock.patch("weftprint.graph._parse_lines", line_reader):
+            assert main_on_cpus(cpus, fingerprint) == 0
+            assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(tiny_corpus), "--metric", "jaccard",
+                                       "--k", "2", "--out", str(tmp_path / "d.csv")]) == 0
+            # the guard is live: the same graph with CR LF line ends takes the line reader
+            path = corpus / "plain-000.tg"
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            with pytest.raises(AssertionError, match="line-by-line reader"):
+                main_on_cpus(cpus, fingerprint)
 
     def test_dead_worker_fails_the_command(self, tiny_corpus, tmp_path, capsys):
         # a worker that dies fails the command, where a multiprocessing.Pool would wait forever

@@ -200,6 +200,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^category 'a': weave kind {re.escape(repr(kind))}: {message}$"):
             CategorySpec("a", kind, 1, 4, 4)
 
+    def test_long_kind_is_echoed_cut_short(self):
+        kind = f"twill({'0' * 50},1)"
+        echo = r"'twill\(00000000000000'… \(59 characters\)"
+        with pytest.raises(ValueError, match=f"^category 'a': weave kind {echo}: twill counts must be >= 1, got 0/1$"):
+            CategorySpec("a", kind, 1, 4, 4)
+
     def test_defaults(self):
         assert CategorySpec("x", "plain") == CategorySpec("x", "plain", 1, 16, 16, 0.0, 0.0, 0.0, None)
 

@@ -20,6 +20,7 @@ from weftprint.graph import (
     edge_label,
     load_graph,
     parse_graph,
+    save_graph,
     serialize_graph,
     validate,
 )
@@ -28,7 +29,7 @@ from weftprint.distance import load_distance_matrix
 from weftprint.fingerprint import fingerprint, load_fingerprint
 from weftprint.weaves import grid_to_graph, plain_weave, random_weave
 
-from oracles import implied_partner_violations, naive_validate
+from oracles import format_serialize_graph, implied_partner_violations, naive_validate, regex_parse_canonical
 
 ONE_CROSSING = """\
 crossings 1
@@ -311,7 +312,8 @@ def test_parse_serialize_identity_property(w, h, seed):
 
 # --- fast path against the reference reader ----------------------------------
 
-_ODD_TOKENS = ["+1", "-0", "007", "1_0", "x", "-2", "2", "-1", "10" * 12, "\u0663", "1.0", ""]
+_ODD_TOKENS = ["+1", "-0", "007", "1_0", "x", "-2", "2", "-1", "10" * 12, "\u0663", "1.0", "",
+               "-", "--1", "1-1", "-01", "00", "9" * 18, "9" * 19, "\x00"]
 
 
 def _reference_parse(text):
@@ -332,7 +334,7 @@ def _outcome(parse, text):
 
 @st.composite
 def mutated_tg_text(draw):
-    """Serialized graph text after a few token, line and spelling mutations."""
+    """Serialized graph text after a few token, line, spelling and byte mutations."""
     w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     g = grid_to_graph(random_weave(0.5, w, h, draw(st.integers(0, 2**31))))
     size = g.node_count
@@ -383,34 +385,102 @@ def mutated_tg_text(draw):
         elif op == "id" and len(tokens) == 4:
             tokens[0] = str(draw(st.integers(0, size)))
         lines[at] = " ".join(tokens)
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    if draw(st.booleans()):  # no final LF
+        text = text.rstrip("\n")
+    for _ in range(draw(st.integers(0, 2))):  # byte edits that keep to the canonical alphabet, or nearly
+        at = draw(st.integers(0, len(text)))
+        drop = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from("0123456789 -\n\x00+")) + text[at + drop:]
+    return text
 
 
-@pytest.mark.parametrize("line, replacement", [
-    ("0 -1 1 1", "0 -1 1 4"),  # opposite index = node count
-    ("0 -1 1 1", "0 4 1 1"),  # next index = node count
-    ("1 -1 1 0", "2 -1 1 0"),  # id out of order
-    ("3 -1 0 2", "3 -1 0 2\n4 -1 0 2"),  # one node line too many
+_CANONICAL_ALPHABET_TOKENS = ["-", "--1", "1-1", "-0", "-01", "-2", "-10", "00", "01", "1" + "0" * 17, "9" * 19]
+
+
+@st.composite
+def near_canonical_tg_text(draw):
+    """Serialized graph text with one edit: a field or a separator respelled, a space and an LF swapped,
+    or digits after the final LF."""
+    w, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    g = grid_to_graph(random_weave(0.5, w, h, draw(st.integers(0, 2**31))))
+    comment, header, body = serialize_graph(g).split("\n", 2)
+    fields = re.split("( |\n)", body)  # fields at even positions, separators at odd ones
+    op = draw(st.sampled_from(["field", "separator", "swap", "tail"]))
+    if op == "field":
+        fields[2 * draw(st.integers(0, 4 * g.node_count - 1))] = draw(st.sampled_from(_CANONICAL_ALPHABET_TOKENS))
+    elif op == "separator":
+        fields[2 * draw(st.integers(0, 4 * g.node_count - 1)) + 1] = draw(st.sampled_from("\t\r\x00\x0b"))
+    elif op == "tail":
+        fields[-1] = draw(st.sampled_from(["0", "12", "-1"]))
+    else:
+        space = 2 * draw(st.integers(0, 4 * g.node_count - 1)) + 1
+        lf = 8 * draw(st.integers(0, g.node_count - 1)) + 7
+        fields[space], fields[lf] = fields[lf], fields[space]
+    return f"{comment}\n{header}\n" + "".join(fields)
+
+
+def _fallback(line, replacement, outcome):
+    return pytest.param(line, replacement, outcome, id=f"{line}-{replacement}")
+
+
+@pytest.mark.parametrize("line, replacement, outcome", [
+    _fallback("0 -1 1 1", "0 -1 1 4", GraphParseError),  # opposite index = node count
+    _fallback("0 -1 1 1", "0 4 1 1", GraphParseError),  # next index = node count
+    _fallback("1 -1 1 0", "2 -1 1 0", GraphParseError),  # id out of order
+    _fallback("3 -1 0 2", "3 -1 0 2\n4 -1 0 2", GraphParseError),  # one node line too many
+    # bytes outside the canonical spelling; the line reader reads some of them as ONE_CROSSING
+    _fallback("0 -1 1 1", "0 - 1 1", GraphParseError),
+    _fallback("0 -1 1 1", "0 --1 1 1", GraphParseError),
+    _fallback("0 -1 1 1", "0 1-1 1 1", GraphParseError),
+    _fallback("0 -1 1 1", "-0 -1 1 1", TextileGraph),
+    _fallback("0 -1 1 1", "0 -01 1 1", TextileGraph),
+    _fallback("1 -1 1 0", "1 -1 1 00", TextileGraph),
+    _fallback("0 -1 1 1", f"0 {'1' + '0' * 17} 1 1", GraphParseError),  # 18 digits: read, then out of range
+    _fallback("0 -1 1 1", f"0 {'9' * 19} 1 1", GraphParseError),  # 19 digits: past int64
+    _fallback("0 -1 1 1", "0 -1 1\x001", GraphParseError),
+    _fallback("2 -1 0 3", "2 -1 0 \u0663", GraphParseError),
+    _fallback("0 -1 1 1", "0 -0 1 1", InvalidGraphError),  # next(0) = 0, in its own crossing
+    _fallback("3 -1 0 2\n", "3 -1 0 2", TextileGraph),  # no final LF
+    _fallback("3 -1 0 2\n", "3 -1 0 2\n4", GraphParseError),  # digits after the final LF
+    _fallback("0 -1 1 1\n1 -1 1 0", "0 -1 1\n1 1 -1 1 0", GraphParseError),  # same fields, lines broken elsewhere
 ])
-def test_canonical_spelling_with_bad_values_falls_back(line, replacement):
+def test_canonical_spelling_with_bad_values_falls_back(line, replacement, outcome):
     text = ONE_CROSSING.replace(line, replacement)
+    assert text != ONE_CROSSING
     assert _parse_canonical(text) is None
-    outcome = _outcome(parse_graph, text)
-    assert outcome[0] is GraphParseError
-    assert outcome == _outcome(_reference_parse, text)
+    assert regex_parse_canonical(text) is None
+    got = _outcome(parse_graph, text)
+    assert got == _outcome(_reference_parse, text)
+    if outcome is TextileGraph:
+        assert got == parse_graph(ONE_CROSSING)
+    else:
+        assert got[0] is outcome
+
+
+def _assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(mutated_tg_text(), near_canonical_tg_text()))
+def test_canonical_reader_matches_regex_oracle(text):
+    fast, oracle = _parse_canonical(text), regex_parse_canonical(text)
+    assert (fast is None) == (oracle is None)
+    if fast is not None:
+        _assert_same_arrays(fast, oracle)
 
 
 @settings(max_examples=400, deadline=None)
-@given(mutated_tg_text())
+@given(st.one_of(mutated_tg_text(), near_canonical_tg_text()))
 def test_fast_path_matches_reference_reader(text):
     # Any other exception type escapes _outcome and fails the test.
     assert _outcome(parse_graph, text) == _outcome(_reference_parse, text)
     fast = _parse_canonical(text)
     if fast is not None:
-        reference = _parse_lines(text)
-        for got, want in zip(fast, reference):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        _assert_same_arrays(fast, _parse_lines(text))
 
 
 # --- loop-free validate against the loop-based oracle --------------------------
@@ -534,8 +604,19 @@ def walk_graphs(w, h, seed):
     return [g, *reparsed(g)]
 
 
+def fresh_table(monkeypatch, table):
+    """Start ``table`` over from its one TERMINAL row, as in a new process."""
+    monkeypatch.setattr(table, "rows", table.rows[:1])
+    return table
+
+
 def fresh_int_table(monkeypatch):
-    monkeypatch.setattr(graph_module, "_INTS", np.array([TERMINAL], dtype=object))
+    return fresh_table(monkeypatch, graph_module._INTS)
+
+
+@pytest.fixture
+def fresh_tokens(monkeypatch):
+    return fresh_table(monkeypatch, graph_module._TOKENS)
 
 
 @settings(max_examples=30, deadline=None)
@@ -593,6 +674,59 @@ def test_first_walks_in_threads_match_serial_fingerprints(monkeypatch):
         with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
             futures = [pool.submit(walk, seed, w, h) for seed, (w, h) in enumerate(sizes)]
             assert [f.result() for f in futures] == serial
+
+
+# --- serialize_graph: one shared token table --------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31)), min_size=1, max_size=3))
+def test_serialize_matches_format_oracle(weaves):
+    # each example starts a fresh table, so every graph after the first may grow it
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fresh_table(monkeypatch, graph_module._TOKENS)
+        for w, h, seed in weaves:
+            g = grid_to_graph(random_weave(0.5, w, h, seed))
+            assert serialize_graph(g) == format_serialize_graph(g)
+
+
+def test_token_table_only_grows_and_keeps_its_objects(fresh_tokens):
+    seen, largest = [], 0
+    for seed, (w, h) in enumerate([(1, 1), (9, 9), (3, 3), (20, 17), (14, 14)]):  # some grow the table
+        g = grid_to_graph(random_weave(0.5, w, h, seed))
+        assert serialize_graph(g) == format_serialize_graph(g)
+        largest = max(largest, g.node_count)
+        rows = fresh_tokens.rows
+        assert rows.tolist() == [[f"{i} ", f"{i}\n"] for i in range(TERMINAL, largest)]
+        for earlier in seen:  # earlier rows keep their string objects
+            assert all(a is b for a, b in zip(rows[:len(earlier)].flat, earlier.flat))
+        seen.append(rows)
+
+
+def test_first_serializations_in_threads_give_equal_text(monkeypatch):
+    sizes = [(4, 4), (9, 9), (16, 13), (24, 24)]
+    graphs = [grid_to_graph(random_weave(0.5, w, h, seed)) for seed, (w, h) in enumerate(sizes)]
+    expected = [format_serialize_graph(g) for g in graphs]
+    for _ in range(5):
+        fresh_table(monkeypatch, graph_module._TOKENS)
+        barrier = threading.Barrier(len(graphs))
+
+        def write(g):
+            barrier.wait()
+            return serialize_graph(g)
+
+        with ThreadPoolExecutor(max_workers=len(graphs)) as pool:
+            assert list(pool.map(write, graphs)) == expected
+
+
+def test_graph_that_breaks_the_model_is_not_written(tmp_path, fresh_tokens):
+    # numpy would read -2 + 1 as the last row of the token table
+    g = TextileGraph([-2, -1, -1, -1], [True, True, False, False], [1, 0, 3, 2])
+    with pytest.raises(InvalidGraphError, match="next index -2 out of range"):
+        serialize_graph(g)
+    with pytest.raises(InvalidGraphError, match="next index -2 out of range"):
+        save_graph(g, tmp_path / "broken.tg")
+    assert not any(tmp_path.iterdir())
+    assert len(fresh_tokens.rows) == 1
 
 
 # --- reading files ---------------------------------------------------------------
