@@ -23,7 +23,7 @@ from . import distance as distance_mod
 from . import evaluation as eval_mod
 from . import pipeline
 from .fingerprint import Fingerprint, fingerprint, save_fingerprint
-from .graph import _DECIMAL, GraphParseError, InvalidGraphError, _shown, load_graph
+from .graph import _read_number, _read_text, _shown, _write_text, parse_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -38,14 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    # ASCII digits with an optional sign, as in the file formats; int()
-    # would also take '٣', '1_0' and ' 9 '.
-    if _DECIMAL.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # past sys.get_int_max_str_digits()
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+    # The file formats' integer rule, so '٣', '1_0' and ' 9 ' are refused.
+    try:
+        return _read_number(text, int, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +92,17 @@ def _load_labels(manifest_path) -> dict[str, str]:
     return {item_id: category for item_id, _, category in corpus_mod.read_manifest(manifest_path)}
 
 
+def _load(path, parse):
+    """``parse`` of the text at ``path``; a refusal names the file, as a decode or I/O error does."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:  # a plain ValueError, which pickles as it is, out of a pool worker too
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_spec(args) -> corpus_mod.CorpusSpec:
-    spec = corpus_mod.load_corpus_spec(args.spec)
+    spec = _load(args.spec, corpus_mod.parse_corpus_spec)
     if args.seed is not None:
         spec = corpus_mod.CorpusSpec(spec.categories, seed=args.seed)
     return spec
@@ -109,11 +115,7 @@ def _cmd_generate(args) -> int:
 
 
 def _fingerprint_file(path, k) -> Fingerprint:
-    try:
-        g = load_graph(path)
-    except (GraphParseError, InvalidGraphError) as exc:  # an OSError or a decode error names its file already
-        raise ValueError(f"{path}: {exc}") from exc
-    return fingerprint(g, k)
+    return fingerprint(_load(path, parse_graph), k)
 
 
 def _fingerprint_files(paths, k) -> list[Fingerprint]:
@@ -178,39 +180,33 @@ def _cmd_distmatrix(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    dm = distance_mod.load_distance_matrix(args.dist)
+    dm = _load(args.dist, distance_mod.csv_to_distance_matrix)
     labels = _load_labels(args.truth)
     partition = eval_mod.upgma_cluster(dm, args.clusters)
     scores = eval_mod.pair_scores(partition, eval_mod.Partition.from_labels(labels))
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(eval_mod.cluster_report_json(scores, partition))
+    _write_text(args.report, eval_mod.cluster_report_json(scores, partition))
     print(f"RI={scores.rand_index:.6f} P={scores.precision:.6f} "
           f"R={scores.recall:.6f} F={scores.f_measure:.6f}")
     return 0
 
 
 def _cmd_retrieve(args) -> int:
-    dm = distance_mod.load_distance_matrix(args.dist)
+    dm = _load(args.dist, distance_mod.csv_to_distance_matrix)
     labels = _load_labels(args.truth)
     curves = eval_mod.interpolated_curves(dm, labels)
-    with open(args.curves, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(eval_mod.curves_to_csv(curves))
-    with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(eval_mod.retrieval_report_json(curves))
+    _write_text(args.curves, eval_mod.curves_to_csv(curves))
+    _write_text(args.report, eval_mod.retrieval_report_json(curves))
     print(f"MAP={curves.map:.6f}")
     return 0
 
 
 def _parse_k_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not (sep and _DECIMAL.fullmatch(lo) and _DECIMAL.fullmatch(hi)):
-        raise ValueError(f"--k-range must look like a..b, got {text!r}")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(f"--k-range bound has too many digits: {max(len(lo), len(hi))}") from None
+    if not sep:
+        raise ValueError(f"--k-range must look like a..b, got {_shown(text)}")
+    lo, hi = (_read_number(bound, int, "--k-range bound") for bound in (lo, hi))
     if lo < 1 or hi < lo:
-        raise ValueError(f"--k-range needs 1 <= a <= b, got {text!r}")
+        raise ValueError(f"--k-range needs 1 <= a <= b, got {_shown(text)}")
     return range(lo, hi + 1)
 
 
@@ -238,8 +234,7 @@ def _cmd_bench(args) -> int:
                 pipeline.corpus_distance_matrix(corpus, k, metric)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0
 

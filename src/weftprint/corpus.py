@@ -41,18 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import TextileGraph, _read_text, _shown, _significant_lines, load_graph, save_graph, serialize_graph
-from .weaves import (
-    TRANSFORM_OPS,
-    _motif_pool,
-    _place_motifs,
-    _read_number,
-    grid_to_graph,
-    parse_kind,
-    perturb,
-    transform,
-    weave_matrix,
-)
+from .graph import (TextileGraph, _read_number, _read_text, _shown, _significant_lines, load_graph, save_graph,
+                    serialize_graph)
+from .weaves import (TRANSFORM_OPS, _motif_pool, _place_motifs, grid_to_graph, parse_kind, perturb, transform,
+                     weave_matrix)
 
 
 @dataclass(frozen=True)
@@ -186,11 +178,12 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                 raise ValueError(f"bad corpus spec: line {lineno}: repeated section {line}")
             current = sections[line[1:-1]] = {}
         elif not equals:
-            raise ValueError(f"bad corpus spec: line {lineno}: expected '[section]' or 'key = value', got {line!r}")
+            raise ValueError(f"bad corpus spec: line {lineno}: expected '[section]' or 'key = value', "
+                             f"got {_shown(line)}")
         elif current is None:
-            raise ValueError(f"bad corpus spec: line {lineno}: key {key!r} before any section")
+            raise ValueError(f"bad corpus spec: line {lineno}: key {_shown(key)} before any section")
         elif key in current:
-            raise ValueError(f"bad corpus spec: line {lineno}: repeated key {key!r}")
+            raise ValueError(f"bad corpus spec: line {lineno}: repeated key {_shown(key)}")
         else:
             current[key] = value
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import _read_text
+from .graph import _CELL, _read_text, _shown, _write_text
 
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
@@ -352,9 +351,6 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     return "".join(lines)
 
 
-# A cell is an ASCII decimal number, or a nan/inf spelling that a range
-# check then rejects.  float() alone would also take '1_0' and '٣'.
-_CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))")
 _NOT_NUMERIC = str.maketrans("", "", "0123456789.eE+-,")
 
 
@@ -409,7 +405,7 @@ def _csv_rows(text: str):
             raise ValueError(f"distance CSV row {i + 1} does not match header ids")
         for j, cell in enumerate(row[1:]):
             if not _CELL.fullmatch(cell):
-                raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): {cell!r} is not a decimal number "
+                raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): {_shown(cell)} is not a decimal number "
                                  f"in column {ids[j]!r}")
         values[i] = [float(x) for x in row[1:]]
     return ids, values
@@ -421,8 +417,7 @@ def csv_to_distance_matrix(text: str) -> DistanceMatrix:
 
 
 def save_distance_matrix(dm: DistanceMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(distance_matrix_to_csv(dm))
+    _write_text(path, distance_matrix_to_csv(dm))
 
 
 def load_distance_matrix(path) -> DistanceMatrix:

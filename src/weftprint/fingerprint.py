@@ -29,7 +29,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .graph import GraphParseError, TextileGraph, _fields, _int_field, _read_text, _significant_lines
+from .graph import (GraphParseError, TextileGraph, _fields, _int_field, _read_text, _shown, _significant_lines,
+                    _write_text)
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -213,6 +214,8 @@ def _decode_arm(arm: int) -> str:
 _TO_FILE = str.maketrans(PAD, "0")
 _FROM_FILE = str.maketrans("0", PAD)
 _FILE_ARM = re.compile(r"[AN]*(?:T0*)?")
+_ARM = r"([AN]*(?:T_*)?)"  # an in-memory arm, padded with '_'
+_KEY = re.compile(f"{_ARM},{_ARM};{_ARM},{_ARM}")
 
 
 def format_neighborhood(nb: Neighborhood) -> str:
@@ -222,27 +225,37 @@ def format_neighborhood(nb: Neighborhood) -> str:
 def parse_neighborhood(key: str) -> Neighborhood:
     parts = key.split(";")
     if len(parts) != 2:
-        raise ValueError(f"neighborhood key must have two ';'-joined pairs: {key!r}")
+        raise ValueError(f"neighborhood key must have two ';'-joined pairs: {_shown(key)}")
     pairs = []
     for part in parts:
         arms = part.split(",")
         if len(arms) != 2:
-            raise ValueError(f"each pair must have two ','-joined arms: {key!r}")
+            raise ValueError(f"each pair must have two ','-joined arms: {_shown(key)}")
         pairs.append(arms)
     arms = pairs[0] + pairs[1]
     if len({len(a) for a in arms}) != 1 or not arms[0]:
-        raise ValueError(f"arms must share one positive length: {key!r}")
+        raise ValueError(f"arms must share one positive length: {_shown(key)}")
     for a in arms:
         if not _FILE_ARM.fullmatch(a):
-            raise ValueError(f"arm {a!r} is not a walk [AN]*(T0*)?: A/N steps, then at most one T and only 0 pads")
+            raise ValueError(f"arm {_shown(a)} is not a walk [AN]*(T0*)?: "
+                             "A/N steps, then at most one T and only 0 pads")
     decoded = [a.translate(_FROM_FILE) for a in arms]
     return canonical_neighborhood(decoded[:2], decoded[2:])
 
 
 def fingerprint_to_text(fp: Fingerprint) -> str:
-    for nb, count in fp.items():  # write only what text_to_fingerprint reads back
+    """``.fp`` text of ``fp``; refuses every key and count that :func:`text_to_fingerprint` would not read back."""
+    for nb, count in fp.items():
         if type(count) is not int or count < 1:  # a bool is not an int here
-            raise ValueError(f"count of {nb!r} must be an int >= 1, got {count!r}")
+            raise ValueError(f"count of {_shown(str(nb))} must be an int >= 1, got {count!r}")
+        m = _KEY.fullmatch(nb) if isinstance(nb, str) else None
+        a0, a1, b0, b1 = m.groups() if m else ("",) * 4
+        if not (0 < len(a0) == len(a1) == len(b0) == len(b1) and a0 <= a1 and b0 <= b1 and (a0, a1) <= (b0, b1)):
+            raise ValueError(f"neighborhood {_shown(str(nb))} is not canonical: four walks of one length, "
+                             "sorted within each pair and pair by pair")
+    depths = {(len(nb) - 3) // 4 for nb in fp}
+    if len(depths) > 1:
+        raise ValueError(f"neighborhoods of depths {sorted(depths)} in one fingerprint")
     lines = sorted(f"{format_neighborhood(nb)} {count}" for nb, count in fp.items())
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -255,7 +268,7 @@ def text_to_fingerprint(text: str) -> Fingerprint:
     for lineno, raw, line in _significant_lines(text):
         fields = _fields(raw)
         if len(fields) != 2:
-            raise GraphParseError(f"expected '<key> <count>', got {line!r}", lineno)
+            raise GraphParseError(f"expected '<key> <count>', got {_shown(line)}", lineno)
         (key_token, key_col), (count_token, count_col) = fields
         count = _int_field(count_token, lineno, count_col, "count")
         if count < 1:
@@ -269,16 +282,14 @@ def text_to_fingerprint(text: str) -> Fingerprint:
         elif len(key) != key_length:
             raise GraphParseError("neighborhood depth differs from earlier lines", lineno, key_col)
         if key in first_line:
-            raise GraphParseError(f"neighborhood {key_token!r} repeats line {first_line[key]}", lineno, key_col)
+            raise GraphParseError(f"neighborhood {_shown(key_token)} repeats line {first_line[key]}", lineno, key_col)
         first_line[key] = lineno
         fp[key] = count
     return fp
 
 
 def save_fingerprint(fp: Fingerprint, path) -> None:
-    text = fingerprint_to_text(fp)  # refuses before the file is made
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, fingerprint_to_text(fp))  # refuses before the file is made
 
 
 def load_fingerprint(path) -> Fingerprint:

@@ -276,11 +276,24 @@ _SPACE, _LF, _MINUS, _ZERO, _ONE, _NINE = b" \n-019"
 _LINE_END = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at FF, VT, NEL, U+2028
 _FIELD = re.compile(r"[^ \t]+")  # \S+ would also split at NBSP
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
+# A decimal, as in a distance-CSV cell: ASCII digits, or a nan/inf spelling for a range check to reject.
+_CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))")
 
 
 def _shown(text: str) -> str:
     """``repr(text)`` for a message; past 40 characters, the first 20, ``…`` and the length."""
     return repr(text) if len(text) <= 40 else f"{text[:20]!r}… ({len(text)} characters)"
+
+
+def _read_number(text: str, as_type: type, where: str):
+    """``text`` as an ``int`` or ``float`` spelled in ASCII, where ``int()`` alone takes ``1_0`` and ``٣``."""
+    rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
+    if not rule.fullmatch(text):
+        raise ValueError(f"{where}: {_shown(text)} is not {noun}")
+    try:
+        return as_type(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ValueError(f"{where}: integer has too many digits: {len(text)}") from None
 
 
 def _read_text(path) -> str:
@@ -290,6 +303,11 @@ def _read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _significant_lines(text):
@@ -306,12 +324,10 @@ def _fields(raw):
 
 
 def _int_field(token, lineno, column, what):
-    if not _DECIMAL.fullmatch(token):
-        raise GraphParseError(f"{what} is not an integer: {token!r}", lineno, column)
     try:
-        return int(token)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise GraphParseError(f"{what} has too many digits: {len(token)}", lineno, column) from None
+        return _read_number(token, int, what)
+    except ValueError as exc:
+        raise GraphParseError(str(exc), lineno, column) from None
 
 
 def _parse_canonical(text):
@@ -368,7 +384,7 @@ def _parse_lines(text):
     lineno, raw, header = lines[0]
     parts = _fields(raw)
     if len(parts) != 2 or parts[0][0] != "crossings":
-        raise GraphParseError(f"expected 'crossings <n>' header, got {header!r}", lineno)
+        raise GraphParseError(f"expected 'crossings <n>' header, got {_shown(header)}", lineno)
     count_token, count_col = parts[1]
     n = _int_field(count_token, lineno, count_col, "crossing count")
     if n < 1:
@@ -437,6 +453,4 @@ def load_graph(path) -> TextileGraph:
 
 
 def save_graph(g: TextileGraph, path) -> None:
-    text = serialize_graph(g)  # before the file is made: a graph that breaks the model leaves none
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, serialize_graph(g))  # a graph that breaks the model is refused before the file is made

@@ -25,8 +25,7 @@ import re
 
 import numpy as np
 
-from .distance import _CELL
-from .graph import _DECIMAL, TERMINAL, TextileGraph, _shown, _vouch
+from .graph import TERMINAL, TextileGraph, _read_number, _shown, _vouch
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -50,6 +49,8 @@ def twill_weave(over: int, under: int, w: int, h: int) -> np.ndarray:
     _check_dims(w, h)
     if over < 1 or under < 1:
         raise ValueError(f"twill counts must be >= 1, got {over}/{under}")
+    if over + under >= 2 ** 63:  # numpy's int64 arithmetic below would overflow
+        raise ValueError("twill counts must sum to less than 2**63")
     i, j = np.indices((h, w))
     return (j - i) % (over + under) < over
 
@@ -63,12 +64,14 @@ def satin_weave(period: int, step: int, w: int, h: int) -> np.ndarray:
     _check_dims(w, h)
     if period < 5:
         raise ValueError(f"satin period must be >= 5, got {period}")
+    if period >= 2 ** 63:  # as for twill
+        raise ValueError("satin period must be less than 2**63")
     if not 1 < step < period - 1:
         raise ValueError(f"satin step must satisfy 1 < step < period-1, got {step}")
     if math.gcd(step, period) != 1:
         raise ValueError(f"satin step {step} must be coprime with period {period}")
-    i, j = np.indices((h, w))
-    return j % period == (i * step) % period
+    offsets = np.array([i * step % period for i in range(h)])  # exact: i * step may pass int64
+    return np.arange(w) % period == offsets[:, None]
 
 
 def warp_above_weave(w: int, h: int) -> np.ndarray:
@@ -120,20 +123,6 @@ def _place_motifs(motifs: np.ndarray, w: int, h: int, choice_seed) -> np.ndarray
 
 
 _KIND_RE = re.compile(r"[ \t]*([a-z_]+)[ \t]*(?:\([ \t]*([^)]*)\)[ \t]*)?")
-
-
-def _read_number(text: str, as_type: type, where: str):
-    """``text`` as an ``int`` or ``float`` spelled in ASCII, as in the file formats.
-
-    ``int()`` and ``float()`` alone would also take ``1_0`` and ``٣``.
-    """
-    rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
-    if not rule.fullmatch(text):
-        raise ValueError(f"{where}: {_shown(text)} is not {noun}")
-    try:
-        return as_type(text)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(f"{where}: integer has too many digits: {len(text)}") from None
 
 
 def _mixed_from_seed(block: int, pool: int, w: int, h: int, seed) -> np.ndarray:

@@ -20,10 +20,12 @@ DESK_SCALE_KINDS = (
 )
 
 
-# Corpus specs whose numbers int() or float() would take, or whose integers have more
-# digits than int() reads (sys.get_int_max_str_digits()), and the message each is refused with;
-# a value past 40 characters is echoed cut short.
+# Corpus specs whose numbers int() or float() would take, whose integers have more digits
+# than int() reads (sys.get_int_max_str_digits()), or whose kind arguments pass the int64
+# arithmetic of their generator, and the message each is refused with; a value past 40
+# characters is echoed cut short.
 DIGITS_5000 = "1" * 5000
+ONES_4000 = "1" * 4000
 MISSPELLED_SPECS = [
     ("[corpus]\nseed = 1_0\n\n[a]\nkind = plain\n", r"section 'corpus': seed: '1_0' is not an integer"),
     ("[a]\nkind = plain\ncount = \u0663\n", r"category 'a': count: '\u0663' is not an integer"),
@@ -43,6 +45,15 @@ MISSPELLED_SPECS = [
     pytest.param(f"[a]\nkind = plain\ncount = {'x' * 5000}\n",
                  r"category 'a': count: 'xxxxxxxxxxxxxxxxxxxx'… \(5000 characters\) is not an integer",
                  id="long-count"),
+    pytest.param(f"[a]\nkind = twill({ONES_4000},1)\n",
+                 r"category 'a': weave kind 'twill\(11111111111111'… \(4009 characters\): "
+                 r"twill counts must sum to less than 2\*\*63", id="twill-over-past-int64"),
+    pytest.param(f"[a]\nkind = twill(1,{ONES_4000})\n",
+                 r"category 'a': weave kind 'twill\(1,111111111111'… \(4009 characters\): "
+                 r"twill counts must sum to less than 2\*\*63", id="twill-under-past-int64"),
+    pytest.param("[a]\nkind = satin(9223372036854775809,2)\n",
+                 r"category 'a': weave kind 'satin\(9223372036854775809,2\)': satin period must be less than 2\*\*63",
+                 id="satin-period-past-int64"),
 ]
 
 

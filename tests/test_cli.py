@@ -9,8 +9,10 @@ import pytest
 
 from weftprint import corpus as corpus_mod
 from weftprint.cli import main
-from weftprint.distance import METRICS
-from weftprint.graph import save_graph
+from weftprint.corpus import parse_corpus_spec
+from weftprint.distance import METRICS, csv_to_distance_matrix
+from weftprint.fingerprint import text_to_fingerprint
+from weftprint.graph import parse_graph, save_graph
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text
@@ -93,7 +95,8 @@ class TestGenerate:
         spec = tmp_path / "spec.ini"
         spec.write_text(text, encoding="utf-8")
         assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
-        assert re.search(f"^weftprint generate: error: {message}$", capsys.readouterr().err, re.MULTILINE)
+        assert re.search(f"^weftprint generate: error: {re.escape(str(spec))}: {message}$", capsys.readouterr().err,
+                         re.MULTILINE)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, flags, message", [
@@ -105,7 +108,8 @@ class TestGenerate:
         spec = tmp_path / "spec.ini"
         spec.write_text(text)
         assert main([*flags, "generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
-        assert f"weftprint generate: error: {message}\n" in capsys.readouterr().err
+        named = f"{spec}: " if not flags else ""  # a refusal inside the file names it
+        assert f"weftprint generate: error: {named}{message}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -230,7 +234,7 @@ def test_asymmetric_distance_csv_is_data_error(tiny_corpus, tmp_path, capsys, co
     outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
                "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
     assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2
-    assert capsys.readouterr().err == (f"weftprint {command}: error: distance matrix row 1 ('a'): "
+    assert capsys.readouterr().err == (f"weftprint {command}: error: {dist}: distance matrix row 1 ('a'): "
                                        "distances must be symmetric, got 1.0 in column 'b'\n")
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "c.csv").exists()
@@ -244,7 +248,7 @@ def test_text_after_a_closing_quote_is_data_error(tiny_corpus, tmp_path, capsys,
     outputs = {"cluster": ["--clusters", "1", "--report", str(tmp_path / "r.json")],
                "retrieve": ["--curves", str(tmp_path / "c.csv"), "--report", str(tmp_path / "r.json")]}
     assert main([command, "--dist", str(dist), "--truth", str(tiny_corpus), *outputs[command]]) == 2
-    assert capsys.readouterr().err == f"weftprint {command}: error: distance CSV: ',' expected after '\"'\n"
+    assert capsys.readouterr().err == f"weftprint {command}: error: {dist}: distance CSV: ',' expected after '\"'\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -304,7 +308,7 @@ class TestBench:
         (["--metrics", "jaccard,euclid"], "unknown metric 'euclid', expected one of " + str(METRICS)),
         (["--repeats", "0"], "--repeats must be >= 1"),
         (["--metrics", "jaccard\u00a0,\u2028hbool"], "unknown metric 'jaccard\\xa0', expected one of " + str(METRICS)),
-        (["--k-range", "1.." + "1" * 5000], "--k-range bound has too many digits: 5000"),
+        (["--k-range", "1.." + "1" * 5000], "--k-range bound: integer has too many digits: 5000"),
     ], ids=["k_below_one", "k_reversed", "unknown_metric", "no_repeats", "unicode_blank_metric", "k_past_digit_limit"])
     def test_refused_values_are_data_errors(self, tmp_path, capsys, flags, message):
         spec = tmp_path / "spec.ini"
@@ -356,7 +360,8 @@ class TestIntegerFlags:
         spec = tmp_path / "spec.ini"
         spec.write_text(TINY_SPEC)
         assert main(["bench", "--spec", str(spec), "--k-range", k_range, "--out", str(tmp_path / "b.csv")]) == 2
-        assert f"--k-range must look like a..b, got {k_range!r}" in capsys.readouterr().err
+        bad = next(bound for bound in k_range.split("..") if not re.fullmatch(r"[+-]?[0-9]+", bound))
+        assert f"--k-range bound: {bad!r} is not an integer" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
     def test_signed_ascii_values_still_parse(self, tmp_path):
@@ -401,6 +406,53 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"weftprint {command}: error: {bad}: not UTF-8: byte 9: invalid start byte" for command in commands
         ]
+
+    @pytest.mark.parametrize("command", ["generate", "fingerprint", "distmatrix", "cluster", "retrieve", "bench"])
+    def test_parse_errors_name_their_file(self, tiny_corpus, tmp_path, capsys, command):
+        # cluster and retrieve read two files; the message says which one is bad
+        spec, dist, graph = tmp_path / "bad.ini", tmp_path / "bad.csv", tiny_corpus.parent / "plain-001.tg"
+        spec.write_text("[a]\nkind = plain\ncount = x\n")
+        dist.write_text("id,a,b\na,0,x\nb,1,0\n")
+        graph.write_text("crossings 1\n0 x-1 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n")
+        out = tmp_path / "out"
+        argv, message = {
+            "generate": (["--spec", spec, "--out-dir", out], f"{spec}: category 'a': count: 'x' is not an integer"),
+            "fingerprint": (["--in", graph, "--k", "2", "--out", out],
+                            f"{graph}: line 2, column 3: next index: 'x-1' is not an integer"),
+            "distmatrix": (["--manifest", tiny_corpus, "--metric", "jaccard", "--k", "2", "--out", out],
+                           f"{graph}: line 2, column 3: next index: 'x-1' is not an integer"),
+            "cluster": (["--dist", dist, "--clusters", "2", "--truth", tiny_corpus, "--report", out],
+                        f"{dist}: distance CSV row 1 ('a'): 'x' is not a decimal number in column 'b'"),
+            "retrieve": (["--dist", dist, "--truth", tiny_corpus, "--curves", out, "--report", out],
+                         f"{dist}: distance CSV row 1 ('a'): 'x' is not a decimal number in column 'b'"),
+            "bench": (["--spec", spec, "--k-range", "1..2", "--out", out],
+                      f"{spec}: category 'a': count: 'x' is not an integer"),
+        }[command]
+        assert main([command, *map(str, argv)]) == 2
+        assert capsys.readouterr().err == f"weftprint {command}: error: {message}\n"
+        assert not out.exists()
+
+
+LONG_TOKEN = "x" * 100_000
+LONG_TOKEN_READERS = {
+    "tg_field": lambda: parse_graph(f"crossings 1\n0 {LONG_TOKEN} 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n"),
+    "fp_count": lambda: text_to_fingerprint(f"A,A;A,A {LONG_TOKEN}\n"),
+    "fp_key": lambda: text_to_fingerprint(f"{LONG_TOKEN} 1\n"),
+    "csv_cell": lambda: csv_to_distance_matrix(f"id,a,b\na,0,{LONG_TOKEN}\nb,1,0\n"),
+    "spec_value": lambda: parse_corpus_spec(f"[a]\nkind = plain\ncount = {LONG_TOKEN}\n"),
+    "k_flag": lambda: main(["fingerprint", "--in", "g.tg", "--k", LONG_TOKEN, "--out", "g.fp"]),
+}
+
+
+@pytest.mark.parametrize("way_in", LONG_TOKEN_READERS)
+def test_long_tokens_are_echoed_cut_short(way_in, capsys):
+    try:
+        assert LONG_TOKEN_READERS[way_in]() == 1  # only main returns: a usage error
+        message = capsys.readouterr().err.splitlines()[-1]
+    except ValueError as exc:
+        message = str(exc)
+    assert len(message) < 200
+    assert "'xxxxxxxxxxxxxxxxxxxx'… (100000 characters)" in message
 
 
 # A graph that parses but breaks the model: next(0) = 4, but next(4) is terminal.
@@ -452,7 +504,7 @@ class TestFingerprintPool:
         corpus = tiny_corpus.parent
         (corpus / "plain-001.tg").write_text("crossings 1\n0 x-1 1 1\n1 -1 1 0\n2 -1 0 3\n3 -1 0 2\n")
         (corpus / "warped-002.tg").write_text(ASYMMETRIC_TG)
-        unparsed = "line 2, column 3: next index is not an integer: 'x-1'"
+        unparsed = "line 2, column 3: next index: 'x-1' is not an integer"
         invalid = "invalid graph: node 0: asymmetric thread link (next(0)=4, next(4)=-1)"
         reversed_manifest = corpus / "reversed.csv"
         lines = read(tiny_corpus).splitlines()

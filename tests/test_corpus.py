@@ -323,7 +323,8 @@ class TestSpecFiles:
 
     @pytest.mark.parametrize("text, message", MISSPELLED_SPECS)
     def test_numbers_take_ascii_spellings_only(self, text, message):
-        # int() and float() take every one of these but the ones past int()'s digit limit
+        # int() and float() take every number here but the ones past int()'s digit limit;
+        # the int64 rows would end in an OverflowError or a wrapped satin row
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_corpus_spec(text)
 

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weftprint.fingerprint import (
@@ -300,6 +300,22 @@ class TestWalksCheckTheGraph:
         assert calls == [hand_built]  # the first walk checks, once
 
 
+def _walks(depth):
+    return st.text("AN", max_size=depth).map(lambda s: s if len(s) == depth else (s + "T").ljust(depth, PAD))
+
+
+@st.composite
+def _counters(draw):
+    """Dicts of canonical keys, mostly of one depth, keys of any arm order or length, other strings, and counts."""
+    depth = draw(st.integers(1, 2))
+    canonical = st.lists(_walks(depth), min_size=4, max_size=4).map(lambda a: canonical_neighborhood(a[:2], a[2:]))
+    deeper = st.lists(_walks(depth + 1), min_size=4, max_size=4).map(lambda a: canonical_neighborhood(a[:2], a[2:]))
+    arms = st.lists(_walks(depth) | st.text("ANT_0", max_size=depth + 1), min_size=4, max_size=4)
+    spelled = arms.map(lambda a: f"{a[0]},{a[1]};{a[2]},{a[3]}")
+    key = st.one_of(canonical, canonical, deeper, spelled, st.text(max_size=12))
+    return draw(st.dictionaries(key, st.integers(1, 3) | st.integers(-1, 0), max_size=4))
+
+
 class TestFingerprintFiles:
     def test_format_uses_zero_padding(self):
         assert format_neighborhood(f"A{PAD},TA;NN,NN") == "A0,TA;NN,NN"
@@ -346,7 +362,7 @@ class TestFingerprintFiles:
 
     def test_text_reports_non_integer_count_with_line(self):
         # .fp errors are GraphParseErrors, a ValueError, placed as the .tg reader places them
-        with pytest.raises(GraphParseError, match=r"^line 2, column 9: count is not an integer: 'x'$") as err:
+        with pytest.raises(GraphParseError, match=r"^line 2, column 9: count: 'x' is not an integer$") as err:
             text_to_fingerprint("A,A;A,A 1\nA,A;A,T x\n")
         assert (err.value.line, err.value.column) == (2, 9)
 
@@ -362,7 +378,7 @@ class TestFingerprintFiles:
 
     @pytest.mark.parametrize("count", ["1_0", "\u0663", "2.0"])
     def test_text_count_takes_ascii_digits_only(self, count):
-        with pytest.raises(GraphParseError, match=f"^line 2, column 9: count is not an integer: {count!r}$"):
+        with pytest.raises(GraphParseError, match=f"^line 2, column 9: count: {count!r} is not an integer$"):
             text_to_fingerprint(f"A,A;A,A 1\nA,A;A,T {count}\n")
 
     @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x85", "\u2028"])
@@ -398,6 +414,39 @@ class TestFingerprintFiles:
         with pytest.raises(ValueError, match=f"^count of 'A,A;A,T' must be an int >= 1, got {shown}$"):
             save_fingerprint(fp, tmp_path / "x.fp")
         assert not (tmp_path / "x.fp").exists()
+
+    @pytest.mark.parametrize("fp, message", [
+        (Counter({"foo": 1}), "neighborhood 'foo' is not canonical"),
+        (Counter({"AA,T_;AN,NT": 1, "NT,AN;T_,AA": 2}), "neighborhood 'NT,AN;T_,AA' is not canonical"),
+        (Counter({"AA,T0;AN,NT": 1}), "neighborhood 'AA,T0;AN,NT' is not canonical"),  # '0' is the pad on disk only
+        (Counter({"AN,NT;AA,T_": 1}), "neighborhood 'AN,NT;AA,T_' is not canonical"),  # pairs out of order
+        (Counter({"A,A;A,A": 1, "AA,AA;AA,AA": 1}), "neighborhoods of depths [1, 2] in one fingerprint"),
+        (Counter({",;,": 1}), "neighborhood ',;,' is not canonical"),
+        (Counter({1: 1}), "neighborhood '1' is not canonical"),
+    ], ids=["not_a_key", "second_spelling", "file_pad", "pair_order", "mixed_depths", "empty_arms", "not_a_string"])
+    def test_text_writer_refuses_unreadable_keys(self, tmp_path, fp, message):
+        from weftprint.fingerprint import save_fingerprint
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            save_fingerprint(fp, tmp_path / "x.fp")
+        assert not (tmp_path / "x.fp").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_counters())
+    @example({"AA,AN;AT,NT": 2, "AN,NN;T_,T_": 1})
+    def test_text_writer_accepts_exactly_what_reads_back_equal(self, fp):
+        # The writer's checks against the reader: text written without them reads back equal just when they pass.
+        unchecked = "".join(f"{format_neighborhood(nb)} {count}\n" for nb, count in sorted(fp.items()))
+        try:
+            equal = dict(text_to_fingerprint(unchecked)) == fp  # a Counter would count a 0 as missing
+        except ValueError:
+            equal = False
+        try:
+            text = fingerprint_to_text(Counter(fp))
+        except ValueError:
+            assert not equal
+        else:
+            assert equal and text == unchecked
 
     def test_save_load(self, tmp_path):
         from weftprint.fingerprint import load_fingerprint, save_fingerprint

@@ -114,14 +114,14 @@ class TestParse:
     @pytest.mark.parametrize("token", ["0_1", "\u0663", "1.0"])
     def test_only_ascii_digit_integers(self, token):
         text = ONE_CROSSING.replace("2 -1 0 3", f"2 {token} 0 3")
-        with pytest.raises(GraphParseError, match=f"next index is not an integer: {token!r}") as err:
+        with pytest.raises(GraphParseError, match=f"next index: {token!r} is not an integer") as err:
             parse_graph(text)
         assert (err.value.line, err.value.column) == (4, 3)
 
     def test_integers_past_the_digit_limit_name_their_place(self):
         # int() refuses more digits than sys.get_int_max_str_digits() allows
         text = ONE_CROSSING.replace("2 -1 0 3", f"2 {'1' * 5000} 0 3")
-        with pytest.raises(GraphParseError, match="^line 4, column 3: next index has too many digits: 5000$"):
+        with pytest.raises(GraphParseError, match="^line 4, column 3: next index: integer has too many digits: 5000$"):
             parse_graph(text)
 
     def test_signed_integers_are_accepted(self):

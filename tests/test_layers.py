@@ -1,0 +1,57 @@
+"""Each module of the package imports only the layers below it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weftprint"
+
+# The layers run graph -> weaves -> corpus and graph -> fingerprint -> distance -> evaluation;
+# the two chains meet in pipeline, and cli sits on top.  Each module names the layers right below it.
+RESTS_ON = {
+    "graph": (),
+    "weaves": ("graph",),
+    "corpus": ("weaves",),
+    "fingerprint": ("graph",),
+    "distance": ("fingerprint",),
+    "evaluation": ("distance",),
+    "pipeline": ("corpus", "evaluation"),
+    "cli": ("pipeline",),
+}
+
+
+def below(module):
+    return {lower for direct in RESTS_ON[module] for lower in {direct} | below(direct)}
+
+
+def imported_modules(path):
+    """The package modules that ``path`` imports, at module level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("weftprint.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:  # absolute: only the package's own modules count
+                if module.split(".")[0] != "weftprint":
+                    continue
+                module = module.removeprefix("weftprint").lstrip(".")
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"} == set(RESTS_ON)
+
+
+@pytest.mark.parametrize("module", RESTS_ON)
+def test_modules_import_only_lower_layers(module):
+    assert imported_modules(PACKAGE / f"{module}.py") <= below(module)
+
+
+def test_the_check_sees_every_spelling_of_an_import(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import weftprint.cli\nfrom weftprint.corpus import x\nfrom weftprint import distance\n"
+                      "from . import evaluation as e\ndef f():\n    from .fingerprint import y\n    from .graph.z import w\n")
+    assert imported_modules(source) == {"cli", "corpus", "distance", "evaluation", "fingerprint", "graph"}

@@ -55,6 +55,22 @@ class TestConstructors:
         # raiser column advances by the step each row
         assert [int(np.argmax(r)) for r in m] == [0, 2, 4, 1, 3]
 
+    @pytest.mark.parametrize("period, step", [
+        (2305843009213693955, 1152921504606846977),  # 2 * step is period - 1: one raiser in 24 rows
+        (2 ** 63 - 25, 2 ** 62 - 12),  # 2 * step is period + 1: a raiser on every even row
+    ])
+    def test_satin_rows_are_exact_past_int64(self, period, step):
+        # i * step passes int64 within 24 rows; in int64 it would wrap and move the raisers
+        oracle = [[j % period == i * step % period for j in range(24)] for i in range(24)]
+        assert satin_weave(period, step, 24, 24).tolist() == oracle
+
+    def test_generator_arguments_stay_within_int64(self):
+        assert twill_weave(2 ** 62, 2 ** 62 - 1, 3, 3).tolist() == [[j >= i for j in range(3)] for i in range(3)]
+        with pytest.raises(ValueError, match=r"^twill counts must sum to less than 2\*\*63$"):
+            twill_weave(2 ** 62, 2 ** 62, 3, 3)
+        with pytest.raises(ValueError, match=r"^satin period must be less than 2\*\*63$"):
+            satin_weave(2 ** 63, 3, 3, 3)
+
     def test_satin_parameter_validation(self):
         with pytest.raises(ValueError, match="period"):
             satin_weave(4, 2, 8, 8)
