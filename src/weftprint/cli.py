@@ -23,7 +23,7 @@ from . import distance as distance_mod
 from . import evaluation as eval_mod
 from . import pipeline
 from .fingerprint import Fingerprint, fingerprint, save_fingerprint
-from .graph import _read_number, _read_text, _shown, _write_text, parse_graph
+from .graph import _read_number, _shown, _write_text, load_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -92,17 +92,8 @@ def _load_labels(manifest_path) -> dict[str, str]:
     return {item_id: category for item_id, _, category in corpus_mod.read_manifest(manifest_path)}
 
 
-def _load(path, parse):
-    """``parse`` of the text at ``path``; a refusal names the file, as a decode or I/O error does."""
-    text = _read_text(path)
-    try:
-        return parse(text)
-    except ValueError as exc:  # a plain ValueError, which pickles as it is, out of a pool worker too
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _load_spec(args) -> corpus_mod.CorpusSpec:
-    spec = _load(args.spec, corpus_mod.parse_corpus_spec)
+    spec = corpus_mod.load_corpus_spec(args.spec)
     if args.seed is not None:
         spec = corpus_mod.CorpusSpec(spec.categories, seed=args.seed)
     return spec
@@ -115,7 +106,7 @@ def _cmd_generate(args) -> int:
 
 
 def _fingerprint_file(path, k) -> Fingerprint:
-    return fingerprint(_load(path, parse_graph), k)
+    return fingerprint(load_graph(path), k)
 
 
 def _fingerprint_files(paths, k) -> list[Fingerprint]:
@@ -180,7 +171,7 @@ def _cmd_distmatrix(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    dm = _load(args.dist, distance_mod.csv_to_distance_matrix)
+    dm = distance_mod.load_distance_matrix(args.dist)
     labels = _load_labels(args.truth)
     partition = eval_mod.upgma_cluster(dm, args.clusters)
     scores = eval_mod.pair_scores(partition, eval_mod.Partition.from_labels(labels))
@@ -191,7 +182,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
-    dm = _load(args.dist, distance_mod.csv_to_distance_matrix)
+    dm = distance_mod.load_distance_matrix(args.dist)
     labels = _load_labels(args.truth)
     curves = eval_mod.interpolated_curves(dm, labels)
     _write_text(args.curves, eval_mod.curves_to_csv(curves))

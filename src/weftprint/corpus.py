@@ -41,10 +41,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (TextileGraph, _read_number, _read_text, _shown, _significant_lines, load_graph, save_graph,
+from .graph import (TextileGraph, _load, _read_number, _shown, _significant_lines, load_graph, save_graph,
                     serialize_graph)
-from .weaves import (TRANSFORM_OPS, _motif_pool, _place_motifs, grid_to_graph, parse_kind, perturb, transform,
-                     weave_matrix)
+from .weaves import (
+    TRANSFORM_OPS,
+    _motif_pool,
+    _place_motifs,
+    grid_to_graph,
+    parse_kind,
+    perturb,
+    transform,
+    weave_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    return parse_corpus_spec(_read_text(path))
+    return _load(path, parse_corpus_spec)
 
 
 # --- corpus directories ---------------------------------------------------------
@@ -223,27 +231,29 @@ def write_corpus(corpus, out_dir) -> Path:
     return manifest
 
 
-def read_manifest(path) -> list[tuple[str, Path, str]]:
-    """Rows as (id, absolute path, category)."""
-    path = Path(path)
+def _parse_manifest(text: str) -> list[list[str]]:
+    """The (id, relative path, category) rows of manifest text."""
     try:
-        rows = list(csv.reader(io.StringIO(_read_text(path), newline=""), strict=True))
+        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
     except csv.Error as exc:  # malformed quoting or a field over the size limit
-        raise ValueError(f"{path}: manifest: {exc}") from None
+        raise ValueError(f"manifest: {exc}") from None
     rows = [r for r in rows if r]
     if not rows or rows[0] != ["id", "path", "category"]:
-        raise ValueError(f"{path}: manifest must start with header 'id,path,category'")
-    out = []
+        raise ValueError("manifest must start with header 'id,path,category'")
     seen = set()
     for row in rows[1:]:
         if len(row) != 3:
-            raise ValueError(f"{path}: manifest row must have 3 fields, got {row!r}")
-        item_id, rel_path, category = row
-        if item_id in seen:
-            raise ValueError(f"{path}: duplicate id {item_id!r}")
-        seen.add(item_id)
-        out.append((item_id, path.parent / rel_path, category))
-    return out
+            raise ValueError(f"manifest row must have 3 fields, got {row!r}")
+        if row[0] in seen:
+            raise ValueError(f"duplicate id {row[0]!r}")
+        seen.add(row[0])
+    return rows[1:]
+
+
+def read_manifest(path) -> list[tuple[str, Path, str]]:
+    """Rows as (id, absolute path, category)."""
+    parent = Path(path).parent
+    return [(item_id, parent / rel_path, category) for item_id, rel_path, category in _load(path, _parse_manifest)]
 
 
 def load_corpus(manifest_path) -> list[CorpusItem]:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import _CELL, _read_text, _shown, _write_text
+from .graph import _CELL, _load, _shown, _write_text
 
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
@@ -421,4 +421,4 @@ def save_distance_matrix(dm: DistanceMatrix, path) -> None:
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    return csv_to_distance_matrix(_read_text(path))  # a CR in a quoted id stays a CR
+    return _load(path, csv_to_distance_matrix)  # a CR in a quoted id stays a CR

@@ -29,8 +29,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .graph import (GraphParseError, TextileGraph, _fields, _int_field, _read_text, _shown, _significant_lines,
-                    _write_text)
+from .graph import GraphParseError, TextileGraph, _fields, _int_field, _load, _shown, _significant_lines, _write_text
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -293,4 +292,4 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
 
 
 def load_fingerprint(path) -> Fingerprint:
-    return text_to_fingerprint(_read_text(path))
+    return _load(path, text_to_fingerprint)

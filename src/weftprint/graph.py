@@ -305,6 +305,15 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
 
 
+def _load(path, parse):
+    """``parse`` of the text at ``path``; a refusal names the file, as a decode or I/O error does."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:  # a plain ValueError, which pickles as it is, out of a pool worker too
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file."""
     Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -449,7 +458,7 @@ def serialize_graph(g: TextileGraph) -> str:
 
 
 def load_graph(path) -> TextileGraph:
-    return parse_graph(_read_text(path))
+    return _load(path, parse_graph)
 
 
 def save_graph(g: TextileGraph, path) -> None:

@@ -757,3 +757,22 @@ def test_loaders_refuse_non_utf8_files_by_path(tmp_path, load, text):
     path.write_bytes(text[:5].encode() + b"\xff" + text[5:].encode())
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: byte 5: invalid start byte$"):
         load(path)
+
+
+BROKEN = {
+    "graph": "crossings x\n",
+    "fingerprint": "A,A;A,A 0\n",
+    "spec": "[a]\ncount = 2\n",
+    "distances": "id,a\na,x\n",
+    "manifest": "id,path\n",
+}
+
+
+@pytest.mark.parametrize("load, text", [(LOADERS[name][0], BROKEN[name]) for name in LOADERS], ids=LOADERS)
+def test_loaders_name_their_file_in_parse_errors(tmp_path, load, text):
+    path = tmp_path / "bad"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as err:
+        load(path)
+    assert type(err.value) is ValueError  # plain, as it pickles out of a pool worker
+    assert str(path) not in str(err.value)[len(str(path)):]  # named once
