@@ -21,9 +21,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
-from . import pipeline
-from .fingerprint import Fingerprint, fingerprint, save_fingerprint
-from .graph import _read_number, _shown, _write_text, load_graph
+from .fingerprint import Fingerprint, _walk_each_once, fingerprint, save_fingerprint
+from .graph import _load, _read_number, _shown, _write_text, parse_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -105,20 +104,39 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _fingerprint_file(path, k) -> Fingerprint:
-    return fingerprint(load_graph(path), k)
+def _fingerprint_file(file, k) -> Fingerprint:
+    path, data = file
+    return fingerprint(_load(path, parse_graph, data), k)
 
 
 def _fingerprint_files(paths, k) -> list[Fingerprint]:
     """Fingerprints of the ``.tg`` files at ``paths``, in order, one worker per available CPU.
 
-    Only a path goes to a worker and only a ``Counter`` comes back; pickling
-    keeps its key order, so every output is the same as from a serial run.
-    Either way the error raised is the first failure in input order.
+    The parent reads each file once; each distinct text goes to a worker, with
+    the first path that holds it, and only a ``Counter`` comes back.  Pickling
+    keeps its key order, and a repeated text gets a copy of its first's, so
+    every output is the same as from one serial walk per file.  Either way the
+    error raised is the first failure in input order.
     """
+    files, unread = [], None
+    for path in paths:
+        try:
+            files.append((path, Path(path).read_bytes()))
+        except OSError as exc:  # raised once the files before it are known to be good
+            unread = exc
+            break
+    fps = _walk_each_once((data for _, data in files),
+                          lambda firsts: _fingerprint_texts([files[i] for i in firsts], k))
+    if unread is not None:
+        raise unread
+    return fps
+
+
+def _fingerprint_texts(files, k) -> list[Fingerprint]:
+    """Fingerprints of the ``(path, bytes)`` pairs ``files``, in order, one worker per available CPU."""
     # macOS has no affinity call; it stays serial, as do hosts without fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(paths))
+    workers = min(cpus, len(files))
     if workers > 1:
         # Imported here: at module level they add ~1.5 MB and ~15 ms to the
         # start of every command, pooled or not.
@@ -131,11 +149,11 @@ def _fingerprint_files(paths, k) -> list[Fingerprint]:
             # multiprocessing.Pool would wait for its lost chunk forever.
             try:
                 with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                    chunk = -(-len(paths) // (4 * workers))  # Pool.map's default: four chunks per worker
-                    return list(pool.map(_fingerprint_file, paths, itertools.repeat(k), chunksize=chunk))
+                    chunk = -(-len(files) // (4 * workers))  # Pool.map's default: four chunks per worker
+                    return list(pool.map(_fingerprint_file, files, itertools.repeat(k), chunksize=chunk))
             except BrokenProcessPool:  # an OSError, so main reports it as a data error
                 raise ChildProcessError("a worker process died before it fingerprinted its files") from None
-    return [_fingerprint_file(path, k) for path in paths]
+    return [_fingerprint_file(file, k) for file in files]
 
 
 def _cmd_fingerprint(args) -> int:
@@ -216,13 +234,17 @@ def _cmd_bench(args) -> int:
     for item in corpus:
         item.graph._thread_arrays()  # exclude one-time array conversion from timings
 
+    ids = [item.id for item in corpus]
+
     lines = ["metric,k,seconds"]
     for k in k_values:
         for metric in metrics:
             samples = []
             for _ in range(args.repeats):
                 start = time.perf_counter()
-                pipeline.corpus_distance_matrix(corpus, k, metric)
+                # A walk per item, not corpus_fingerprints' walk per distinct graph:
+                # with few distinct graphs, the times would follow k too little to show.
+                distance_mod.distance_matrix([fingerprint(item.graph, k) for item in corpus], metric, ids=ids)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
     _write_text(args.out, "\n".join(lines) + "\n")

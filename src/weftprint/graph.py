@@ -296,18 +296,18 @@ def _read_number(text: str, as_type: type, where: str):
         raise ValueError(f"{where}: integer has too many digits: {len(text)}") from None
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of ``path``, line ends as written; refuses other bytes by path and offset."""
-    data = Path(path).read_bytes()
+def _load(path, parse, data=None):
+    """``parse`` of the UTF-8 text at ``path``, or of ``data``, its bytes read already, line ends as written.
+
+    A byte that is not UTF-8 is refused by path and offset, and a refusal by
+    ``parse`` names the file too, as an I/O error does.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
-
-
-def _load(path, parse):
-    """``parse`` of the text at ``path``; a refusal names the file, as a decode or I/O error does."""
-    text = _read_text(path)
     try:
         return parse(text)
     except ValueError as exc:  # a plain ValueError, which pickles as it is, out of a pool worker too

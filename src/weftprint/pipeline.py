@@ -19,7 +19,7 @@ from .evaluation import (
     pair_scores,
     upgma_cluster,
 )
-from .fingerprint import fingerprint
+from .fingerprint import _walk_each_once, fingerprint
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,31 @@ class EvalReport:
         return self.curves.map
 
 
+class _Arrays:
+    """A graph as a dict key: two keys are equal exactly when the graphs' three arrays are."""
+
+    __slots__ = ("graph", "_hash")
+
+    def __init__(self, graph):
+        self.graph = graph
+        self._hash = hash((graph.next_node.tobytes(), graph.on_top.tobytes(), graph.opposite.tobytes()))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self._hash == other._hash and self.graph == other.graph  # a hash alone could collide
+
+
 def corpus_fingerprints(corpus: list[CorpusItem], k: int):
+    """Ids and fingerprints of ``corpus``, in order, as ``fingerprint`` gives them one graph at a time.
+
+    Each distinct graph, by its arrays, is walked once in the call; a repeat
+    gets its own copy of the first's fingerprint, so it builds no walk lists.
+    """
     ids = [item.id for item in corpus]
-    fps = [fingerprint(item.graph, k) for item in corpus]
+    graphs = [item.graph for item in corpus]
+    fps = _walk_each_once(map(_Arrays, graphs), lambda firsts: [fingerprint(graphs[i], k) for i in firsts])
     return ids, fps
 
 

@@ -35,9 +35,15 @@ def _as_matrix(cells) -> np.ndarray:
     return m
 
 
+def _number(value) -> str:
+    """``value`` as a range message echoes it: whole up to 40 characters, else cut as :func:`_shown` cuts text."""
+    text = str(value)
+    return text if len(text) <= 40 else _shown(text)
+
+
 def _check_dims(w, h):
     if w < 1 or h < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got w={w}, h={h}")
+        raise ValueError(f"grid dimensions must be >= 1, got w={_number(w)}, h={_number(h)}")
 
 
 def plain_weave(w: int, h: int) -> np.ndarray:
@@ -48,7 +54,7 @@ def twill_weave(over: int, under: int, w: int, h: int) -> np.ndarray:
     """m-over/n-under diagonal: row i is row 0 shifted right by i columns."""
     _check_dims(w, h)
     if over < 1 or under < 1:
-        raise ValueError(f"twill counts must be >= 1, got {over}/{under}")
+        raise ValueError(f"twill counts must be >= 1, got {_number(over)}/{_number(under)}")
     if over + under >= 2 ** 63:  # numpy's int64 arithmetic below would overflow
         raise ValueError("twill counts must sum to less than 2**63")
     i, j = np.indices((h, w))
@@ -63,11 +69,11 @@ def satin_weave(period: int, step: int, w: int, h: int) -> np.ndarray:
     """
     _check_dims(w, h)
     if period < 5:
-        raise ValueError(f"satin period must be >= 5, got {period}")
+        raise ValueError(f"satin period must be >= 5, got {_number(period)}")
     if period >= 2 ** 63:  # as for twill
         raise ValueError("satin period must be less than 2**63")
     if not 1 < step < period - 1:
-        raise ValueError(f"satin step must satisfy 1 < step < period-1, got {step}")
+        raise ValueError(f"satin step must satisfy 1 < step < period-1, got {_number(step)}")
     if math.gcd(step, period) != 1:
         raise ValueError(f"satin step {step} must be coprime with period {period}")
     offsets = np.array([i * step % period for i in range(h)])  # exact: i * step may pass int64
@@ -83,7 +89,7 @@ def random_weave(density: float, w: int, h: int, seed) -> np.ndarray:
     """Independent Bernoulli(density) cell coin from a seeded generator."""
     _check_dims(w, h)
     if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {density}")
+        raise ValueError(f"density must lie in [0, 1], got {_number(density)}")
     rng = np.random.default_rng(seed)
     return rng.random((h, w)) < density
 
@@ -98,9 +104,9 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
     """
     _check_dims(w, h)
     if block < 1:
-        raise ValueError(f"block size must be >= 1, got {block}")
+        raise ValueError(f"block size must be >= 1, got {_number(block)}")
     if pool < 1:
-        raise ValueError(f"motif pool size must be >= 1, got {pool}")
+        raise ValueError(f"motif pool size must be >= 1, got {_number(pool)}")
     return _place_motifs(_motif_pool(block, pool, pool_seed), w, h, choice_seed)
 
 

@@ -54,6 +54,10 @@ MISSPELLED_SPECS = [
     pytest.param("[a]\nkind = satin(9223372036854775809,2)\n",
                  r"category 'a': weave kind 'satin\(9223372036854775809,2\)': satin period must be less than 2\*\*63",
                  id="satin-period-past-int64"),
+    pytest.param(f"[a]\nkind = satin(5,{ONES_4000})\n",
+                 r"category 'a': weave kind 'satin\(5,111111111111'… \(4009 characters\): "
+                 r"satin step must satisfy 1 < step < period-1, got '11111111111111111111'… \(4000 characters\)",
+                 id="satin-step-echoed-cut-short"),
 ]
 
 

@@ -7,12 +7,13 @@ from unittest import mock
 
 import pytest
 
+from weftprint import cli
 from weftprint import corpus as corpus_mod
 from weftprint.cli import main
 from weftprint.corpus import parse_corpus_spec
-from weftprint.distance import METRICS, csv_to_distance_matrix
-from weftprint.fingerprint import text_to_fingerprint
-from weftprint.graph import parse_graph, save_graph
+from weftprint.distance import METRICS, csv_to_distance_matrix, distance_matrix, distance_matrix_to_csv
+from weftprint.fingerprint import fingerprint, fingerprint_to_text, text_to_fingerprint
+from weftprint.graph import load_graph, parse_graph, save_graph
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text
@@ -563,3 +564,104 @@ class TestFingerprintPool:
         assert capsys.readouterr().err == (
             "weftprint fingerprint: error: a worker process died before it fingerprinted its files\n")
         assert not (tmp_path / "fps").exists()
+
+
+REPEATED_SPEC = """\
+[corpus]
+seed = 5
+
+[plain]
+kind = plain
+count = 4
+width = 6
+height = 6
+perturb_fraction = 0.5
+perturb_rate = 0.2
+
+[warped]
+kind = warp_above
+count = 3
+width = 6
+height = 6
+"""
+
+
+@pytest.fixture()
+def repeated_corpus(tmp_path):
+    """A corpus whose files repeat: equal clean samples, and byte-identical copies of a perturbed one."""
+    spec = tmp_path / "spec.ini"
+    spec.write_text(REPEATED_SPEC)
+    out = tmp_path / "corpus"
+    assert main(["generate", "--spec", str(spec), "--out-dir", str(out)]) == 0
+    manifest = out / "manifest.csv"
+    clean = (out / "plain-000.tg").read_bytes()
+    perturbed = next(p for p in sorted(out.glob("plain-*.tg")) if p.read_bytes() != clean)
+    for copy in ("copy-a", "copy-b"):
+        (out / f"{copy}.tg").write_bytes(perturbed.read_bytes())
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(f"{copy},{copy}.tg,plain\n")
+    return manifest
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="the pool needs the affinity call")
+class TestRepeatedFiles:
+    def test_outputs_equal_one_walk_per_file(self, repeated_corpus, tmp_path):
+        paths = [row[1] for row in corpus_mod.read_manifest(repeated_corpus)]
+        assert 2 < len({path.read_bytes() for path in paths}) < len(paths)  # some files repeat, some differ
+        want_fps = {p.stem + ".fp": fingerprint_to_text(fingerprint(load_graph(p), 3)).encode() for p in paths}
+        for cpus in (1, 2):
+            out = tmp_path / f"fps{cpus}"
+            assert main_on_cpus(cpus, ["fingerprint", "--in", str(repeated_corpus.parent), "--k", "3",
+                                       "--out", str(out)]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == want_fps
+        for metric in METRICS:
+            want = distance_matrix_to_csv(distance_matrix([fingerprint(load_graph(p), 3) for p in paths], metric,
+                                                          ids=[p.stem for p in paths])).encode()
+            for cpus in (1, 2):
+                out = tmp_path / f"{metric}{cpus}.csv"
+                assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(repeated_corpus), "--metric", metric,
+                                           "--k", "3", "--out", str(out)]) == 0
+                assert out.read_bytes() == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_input_order_is_named(self, repeated_corpus, tmp_path, capsys, cpus):
+        corpus = repeated_corpus.parent
+        (corpus / "bad.tg").write_text(ASYMMETRIC_TG)
+        (corpus / "bad-copy.tg").write_text(ASYMMETRIC_TG)
+        invalid = "invalid graph: node 0: asymmetric thread link (next(0)=4, next(4)=-1)"
+        missing = corpus / "missing.tg"
+        orders = [["plain-000", "bad", "warped-000", "bad-copy", "missing"],
+                  ["plain-000", "bad-copy", "bad", "missing"],
+                  ["plain-000", "warped-000", "missing", "bad", "bad-copy"]]
+        for n, order in enumerate(orders):
+            manifest = corpus / f"order{n}.csv"
+            manifest.write_text("id,path,category\n" + "".join(f"{name},{name}.tg,x\n" for name in order))
+            assert main_on_cpus(cpus, ["distmatrix", "--manifest", str(manifest), "--metric", "jaccard",
+                                       "--k", "2", "--out", str(tmp_path / "d.csv")]) == 2
+        assert main_on_cpus(cpus, ["fingerprint", "--in", str(corpus), "--k", "2", "--out", str(tmp_path / "fps")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"weftprint distmatrix: error: {corpus / 'bad.tg'}: {invalid}",
+            f"weftprint distmatrix: error: {corpus / 'bad-copy.tg'}: {invalid}",
+            f"weftprint distmatrix: error: [Errno 2] No such file or directory: '{missing}'",
+            f"weftprint fingerprint: error: {corpus / 'bad-copy.tg'}: {invalid}",  # sorted, bad-copy comes first
+        ]
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "fps").exists()
+
+    def test_serial_route_walks_each_distinct_text_once(self, repeated_corpus, tmp_path):
+        walked = []
+        real = cli._fingerprint_file
+
+        def fingerprint_file(file, k):
+            walked.append(file[0])
+            return real(file, k)
+
+        paths = [row[1] for row in corpus_mod.read_manifest(repeated_corpus)]
+        firsts = {}
+        for path in paths:
+            firsts.setdefault(path.read_bytes(), path)
+        with mock.patch("weftprint.cli._fingerprint_file", fingerprint_file):
+            assert main_on_cpus(1, ["distmatrix", "--manifest", str(repeated_corpus), "--metric", "jaccard",
+                                    "--k", "2", "--out", str(tmp_path / "d.csv")]) == 0
+        assert walked == list(firsts.values())
+        assert len(walked) < len(paths)

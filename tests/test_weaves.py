@@ -71,6 +71,22 @@ class TestConstructors:
         with pytest.raises(ValueError, match=r"^satin period must be less than 2\*\*63$"):
             satin_weave(2 ** 63, 3, 3, 3)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: twill_weave(n, 1, 3, 3), "twill counts must be >= 1, got {n}/1"),
+        (lambda n: satin_weave(n, 2, 3, 3), "satin period must be >= 5, got {n}"),
+        (lambda n: satin_weave(5, n, 3, 3), "satin step must satisfy 1 < step < period-1, got {n}"),
+        (lambda n: random_weave(n, 3, 3, 0), "density must lie in [0, 1], got {n}"),
+        (lambda n: mixed_weave(n, 1, 3, 3, 0, 0), "block size must be >= 1, got {n}"),
+        (lambda n: mixed_weave(1, n, 3, 3, 0, 0), "motif pool size must be >= 1, got {n}"),
+        (lambda n: plain_weave(n, 3), "grid dimensions must be >= 1, got w={n}, h=3"),
+    ], ids=["twill", "satin-period", "satin-step", "density", "block", "pool", "grid"])
+    def test_long_numbers_are_echoed_cut_short(self, make, message):
+        # up to 40 characters a number is echoed whole, past them cut as a long token is
+        for n, echo in ((-10 ** 38, str(-10 ** 38)), (-10 ** 39, "'-1000000000000000000'… (41 characters)")):
+            with pytest.raises(ValueError) as caught:
+                make(n)
+            assert str(caught.value) == message.format(n=echo)
+
     def test_satin_parameter_validation(self):
         with pytest.raises(ValueError, match="period"):
             satin_weave(4, 2, 8, 8)
