@@ -10,6 +10,7 @@
 # only: sampled matrix cells, the written files against the in-memory graphs and
 # fingerprints, and equal outputs across passes. Its corpus repeats files too, so it
 # takes the pooled route for repeated files at a second seed.
+# Each correct run prints its peak_rss_mb beside it, read from the run's last JSON line.
 # The script exits 1 at the first incorrect run and prints its report, whose FAILED
 # lines name each failed check.
 cd "$(dirname "$0")/.." || exit 1
@@ -23,5 +24,6 @@ for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -
     cat "$log"
     exit 1
   fi
-  echo "seed $seed, $workload${pin:+ $pin}: correct"
+  rss=$(tail -n 1 "$log" | python -c 'import json, sys; print(json.loads(sys.stdin.read())["metrics"]["peak_rss_mb"]["value"])')
+  echo "seed $seed, $workload${pin:+ $pin}: correct, peak_rss_mb $rss"
 done

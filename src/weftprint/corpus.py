@@ -137,16 +137,17 @@ def _category_items(cat: CategorySpec, fallback_seed: int):
     name, args = parse_kind(cat.kind)
     if name == "mixed":  # one motif pool per category, drawn once; each sample only re-arranges it
         motifs = _motif_pool(*args, np.random.SeedSequence([seed, _POOL_STREAM]))
-    n_clean = cat.count - cat.n_perturbed - cat.n_transformed
+    n_perturbed = cat.n_perturbed  # each read of the property builds a Fraction
+    n_clean = cat.count - n_perturbed - cat.n_transformed
     for index in range(cat.count):
         if name == "mixed":
             cells = _place_motifs(motifs, cat.width, cat.height, _sample_seed(seed, index, 0))
         else:
             cells = weave_matrix(cat.kind, cat.width, cat.height, seed=_sample_seed(seed, index, 0))
-        if n_clean <= index < n_clean + cat.n_perturbed:
+        if n_clean <= index < n_clean + n_perturbed:
             cells = perturb(cells, cat.perturb_rate, _sample_seed(seed, index, 1))
-        elif index >= n_clean + cat.n_perturbed:
-            cells = transform(cells, TRANSFORM_OPS[(index - n_clean - cat.n_perturbed) % len(TRANSFORM_OPS)])
+        elif index >= n_clean + n_perturbed:
+            cells = transform(cells, TRANSFORM_OPS[(index - n_clean - n_perturbed) % len(TRANSFORM_OPS)])
         yield CorpusItem(f"{cat.name}-{index:03d}", grid_to_graph(cells), cat.name)
 
 

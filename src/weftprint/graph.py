@@ -98,6 +98,28 @@ class InvalidGraphError(ValueError):
         return type(self), (self.violations,)
 
 
+class _Frame:
+    """The read-only ``next_node`` and ``opposite`` arrays of one or more graphs, and their walk lists.
+
+    :func:`validate` of a graph on the frame must pass before the first
+    :meth:`walk_lists`, which indexes the int table with the frame's ids.
+    """
+
+    __slots__ = ("next_node", "opposite", "_lists", "__weakref__")
+
+    def __init__(self, next_node: np.ndarray, opposite: np.ndarray):
+        self.next_node = next_node
+        self.opposite = opposite
+        self._lists = None
+
+    def walk_lists(self):
+        """``next_node`` and ``opposite`` as lists of the shared int objects, built at the first call."""
+        if self._lists is None:  # two threads may both build equal lists here; either may stay
+            ints = _INTS.upto(len(self.next_node) - 1)
+            self._lists = (ints[self.next_node + 1].tolist(), ints[self.opposite + 1].tolist())
+        return self._lists
+
+
 @dataclass(frozen=True, eq=False)
 class TextileGraph:
     """Immutable crossing graph in flat-array form.
@@ -106,9 +128,13 @@ class TextileGraph:
     length ``4n`` for ``n`` crossings.  Instances hold read-only copies of
     their input arrays; all operations on them are pure reads, so a
     graph can be shared freely across threads.
-    The first walk caches the arrays as Python lists for the graph's life:
-    one pointer per node per list, to int objects that every graph shares
-    through one growing module table, so ids above 256 cost no int of their own.
+    ``next_node`` and ``opposite``, the thread structure, live in a frame:
+    ``grid_to_graph`` puts every graph of one grid shape on one shared
+    frame, and a graph built here gets a frame of its own.  The first walk
+    caches the arrays as Python lists: the frame's two for its life, the
+    graph's ``on_top`` for the graph's.  Each holds one pointer per node,
+    to int objects that every graph shares through one growing module
+    table, so ids above 256 cost no int of their own.
     A graph that breaks the model can be built, for :func:`validate` to
     report on, but not walked or serialized: the first walk or
     :func:`serialize_graph` runs :func:`validate` once, unless
@@ -129,9 +155,20 @@ class TextileGraph:
             arr.flags.writeable = False
         if not (len(nxt) == len(top) == len(opp)):
             raise ValueError("next_node, on_top and opposite must have equal length")
-        object.__setattr__(self, "next_node", nxt)
-        object.__setattr__(self, "on_top", top)
-        object.__setattr__(self, "opposite", opp)
+        self._set(_Frame(nxt, opp), top)
+
+    @classmethod
+    def _on_frame(cls, frame: _Frame, on_top: np.ndarray) -> TextileGraph:
+        """A vouched graph of ``frame``'s threads: only for a read-only ``on_top`` that makes it valid."""
+        g = object.__new__(cls)
+        g._set(frame, on_top)
+        return _vouch(g)
+
+    def _set(self, frame: _Frame, on_top: np.ndarray) -> None:
+        object.__setattr__(self, "next_node", frame.next_node)
+        object.__setattr__(self, "on_top", on_top)
+        object.__setattr__(self, "opposite", frame.opposite)
+        object.__setattr__(self, "_frame", frame)
 
     @property
     def node_count(self) -> int:
@@ -157,14 +194,13 @@ class TextileGraph:
         # Every walk starts here; the first call checks the graph unless its
         # maker vouched for it.  Plain lists index ~3x faster than numpy
         # scalars in the walk loop; cache them once: the graph is immutable.
-        # Each entry points into the shared int table, which the check above
-        # makes safe to index (valid ids lie in [TERMINAL, node_count)): one
-        # pointer per node per list.  on_top's entries are the bool singletons.
+        # The frame's lists come from a valid graph, this one or one that
+        # shares its frame; on_top's entries are the bool singletons.
         cached = self.__dict__.get("_lists")
         if cached is None:
             _require_valid(self)
-            ints = _INTS.upto(self.node_count - 1)
-            cached = (ints[self.next_node + 1].tolist(), self.on_top.tolist(), ints[self.opposite + 1].tolist())
+            nxt, opp = self._frame.walk_lists()
+            cached = (nxt, self.on_top.tolist(), opp)
             object.__setattr__(self, "_lists", cached)
         return cached
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 
 import numpy as np
 
-from .graph import TERMINAL, TextileGraph, _read_number, _shown, _vouch
+from .graph import TERMINAL, TextileGraph, _Frame, _read_number, _shown
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -94,6 +95,9 @@ def random_weave(density: float, w: int, h: int, seed) -> np.ndarray:
     return rng.random((h, w)) < density
 
 
+_MOTIF_CELLS = 2 ** 22  # the most cells a motif pool may hold: mixed(256,64) fills it, with 32 MB of draws
+
+
 def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -> np.ndarray:
     """Mosaic of ``block``-sized squares picked from ``pool`` random motifs.
 
@@ -107,6 +111,9 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
         raise ValueError(f"block size must be >= 1, got {_number(block)}")
     if pool < 1:
         raise ValueError(f"motif pool size must be >= 1, got {_number(pool)}")
+    if pool * block * block > _MOTIF_CELLS:  # checked before the draw, which takes 8 bytes a cell
+        raise ValueError(f"motif pool size times block area must be <= {_MOTIF_CELLS}, "
+                         f"got {_number(pool)} * {_number(block)}x{_number(block)}")
     return _place_motifs(_motif_pool(block, pool, pool_seed), w, h, choice_seed)
 
 
@@ -219,6 +226,26 @@ def perturb(cells, rate: float, seed) -> np.ndarray:
     return m ^ flips
 
 
+# The frame of each grid shape (h, w) that some graph still holds.
+_FRAMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _grid_frame(h: int, w: int) -> _Frame:
+    """The thread structure shared by every ``h`` x ``w`` grid graph: see :func:`grid_to_graph`."""
+    frame = _FRAMES.get((h, w))
+    if frame is None:
+        node = np.arange(4 * h * w).reshape(h, w, 4)  # node index of slot s of crossing (i, j)
+        nxt = np.full((h, w, 4), TERMINAL, dtype=np.int64)
+        nxt[:-1, :, 1] = node[1:, :, 0]   # warp, down
+        nxt[1:, :, 0] = node[:-1, :, 1]   # warp, up
+        nxt[:, :-1, 3] = node[:, 1:, 2]   # weft, right
+        nxt[:, 1:, 2] = node[:, :-1, 3]   # weft, left
+        nxt, opp = nxt.ravel(), node.ravel() ^ 1
+        nxt.flags.writeable = opp.flags.writeable = False
+        frame = _FRAMES.setdefault((h, w), _Frame(nxt, opp))
+    return frame
+
+
 def grid_to_graph(cells) -> TextileGraph:
     """Interlace a weave matrix into a crossing graph.
 
@@ -226,15 +253,13 @@ def grid_to_graph(cells) -> TextileGraph:
     warp pair (thread running down column ``j``), slots 2/3 the weft pair
     (along row ``i``).  Slot 1 links to slot 0 of the crossing below, slot
     3 to slot 2 of the crossing to the right; grid-boundary arms terminate.
-    Every boolean matrix gives a valid graph, so walks skip the check.
+    The links depend on the shape alone, so every graph of one shape
+    shares one read-only frame of ``next_node`` and ``opposite`` and its
+    walk lists, for as long as any of them lives; only ``on_top`` is the
+    graph's own.  Every boolean matrix gives a valid graph, so walks skip
+    the check.
     """
     m = _as_matrix(cells)
-    h, w = m.shape
-    node = np.arange(4 * h * w).reshape(h, w, 4)  # node index of slot s of crossing (i, j)
-    nxt = np.full((h, w, 4), TERMINAL, dtype=np.int64)
-    nxt[:-1, :, 1] = node[1:, :, 0]   # warp, down
-    nxt[1:, :, 0] = node[:-1, :, 1]   # warp, up
-    nxt[:, :-1, 3] = node[:, 1:, 2]   # weft, right
-    nxt[:, 1:, 2] = node[:, :-1, 3]   # weft, left
-    top = np.stack([m, m, ~m, ~m], -1)
-    return _vouch(TextileGraph(nxt.ravel(), top.ravel(), node.ravel() ^ 1))
+    top = np.stack([m, m, ~m, ~m], -1).ravel()
+    top.flags.writeable = False
+    return TextileGraph._on_frame(_grid_frame(*m.shape), top)

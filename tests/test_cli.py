@@ -100,6 +100,15 @@ class TestGenerate:
                          re.MULTILINE)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["mixed(100000,100000)", "mixed(20000,1)"])
+    def test_oversized_motif_pool_is_data_error(self, tmp_path, capsys, kind):
+        # refused before the pool is drawn, which would take 8 bytes a cell: 3.2 GB for mixed(20000,1)
+        spec = tmp_path / "spec.ini"
+        spec.write_text(f"[a]\nkind = {kind}\n")
+        assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"weave kind {kind!r}: motif pool size times block area must be <= 4194304" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, flags, message", [
         ("[corpus]\nseed = -3\n\n[a]\nkind = plain\n", [], "corpus: seed must be >= 0"),
         ("[a]\nkind = plain\nseed = -3\n", [], "category 'a': seed must be >= 0"),

@@ -194,6 +194,8 @@ class TestSpecValidation:
         ("random(2)", r"density must lie in \[0, 1\], got 2.0"),
         ("random(nan)", r"density must lie in \[0, 1\], got nan"),
         ("mixed(0,1)", "block size must be >= 1, got 0"),
+        ("mixed(100000,100000)", r"motif pool size times block area must be <= 4194304, got 100000 \* 100000x100000"),
+        ("mixed(20000,1)", r"motif pool size times block area must be <= 4194304, got 1 \* 20000x20000"),
     ])
     def test_kind_ranges_refused_when_made(self, kind, message):
         # the generator owns the range; the refusal names the category and the kind

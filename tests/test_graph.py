@@ -676,6 +676,26 @@ def test_first_walks_in_threads_match_serial_fingerprints(monkeypatch):
             assert [f.result() for f in futures] == serial
 
 
+def test_pickled_grid_graph_reads_the_same():
+    g = grid_to_graph(random_weave(0.5, 9, 6, 4))
+    fresh = pickle.loads(pickle.dumps(g))  # before its first walk
+    prints = [fingerprint(g, k) for k in (1, 3)]
+    walked = pickle.loads(pickle.dumps(g))  # with its walk lists
+    for back in (fresh, walked):
+        assert back == g and [fingerprint(back, k) for k in (1, 3)] == prints
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**31))
+def test_framed_graph_fingerprints_as_a_graph_with_its_own_arrays(w, h, seed):
+    fingerprint(grid_to_graph(random_weave(0.5, w, h, seed + 1)), 1)  # the frame's lists, built by another graph
+    g = grid_to_graph(random_weave(0.5, w, h, seed))
+    own = TextileGraph(g.next_node.copy(), g.on_top.copy(), g.opposite.copy())
+    assert own.next_node is not g.next_node
+    for k in range(1, 7):
+        assert fingerprint(g, k) == fingerprint(own, k)
+
+
 # --- serialize_graph: one shared token table --------------------------------------
 
 @settings(max_examples=100, deadline=None)

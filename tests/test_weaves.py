@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weftprint.weaves as weaves_module
 from weftprint.graph import TERMINAL, EdgeLabel, edge_label, validate
 from weftprint.weaves import (
     TRANSFORM_OPS,
@@ -328,6 +331,37 @@ class TestGridToGraph:
         for got, want in zip((g.next_node, g.on_top, g.opposite), loop_grid_arrays(m)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+    def test_graphs_of_one_shape_share_one_frame(self):
+        a, b = (grid_to_graph(random_weave(0.5, 7, 5, seed)) for seed in (1, 2))
+        assert a.next_node is b.next_node and a.opposite is b.opposite and a.on_top is not b.on_top
+        (a_next, a_top, a_opp), (b_next, b_top, b_opp) = a._thread_arrays(), b._thread_arrays()
+        assert a_next is b_next and a_opp is b_opp and a_top is not b_top
+        assert a_top == a.on_top.tolist() and b_top == b.on_top.tolist()
+        for arr in (a.next_node, a.on_top, a.opposite):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_rotated_grid_sits_on_the_frame_of_its_own_shape(self):
+        m = random_weave(0.5, 7, 5, 3)
+        g, turned = grid_to_graph(m), grid_to_graph(rotate90(m))
+        assert g.next_node is not turned.next_node and g.opposite is not turned.opposite
+        assert turned.next_node is grid_to_graph(plain_weave(5, 7)).next_node
+        for got, want in zip((turned.next_node, turned.on_top, turned.opposite), loop_grid_arrays(rotate90(m))):
+            assert np.array_equal(got, want)
+
+    def test_frames_go_with_their_last_graph(self, monkeypatch):
+        monkeypatch.setattr(weaves_module, "_FRAMES", type(weaves_module._FRAMES)())  # empty, of the module's own kind
+        graphs = [grid_to_graph(random_weave(0.5, w, h, 0)) for w, h in ((3, 4), (4, 3), (3, 4))]
+        for g in graphs:
+            g._thread_arrays()
+        assert sorted(weaves_module._FRAMES) == [(3, 4), (4, 3)]  # keyed (h, w)
+        del graphs[1:]
+        gc.collect()
+        assert list(weaves_module._FRAMES) == [(4, 3)]
+        del graphs, g
+        gc.collect()
+        assert len(weaves_module._FRAMES) == 0
 
     def test_always_validates_500_matrices_up_to_16(self):
         rng = np.random.default_rng(500)
