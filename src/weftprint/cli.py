@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_labels(manifest_path) -> dict[str, str]:
-    return {item_id: category for item_id, _, category in corpus_mod.read_manifest(manifest_path)}
+    # The rows as read_manifest checks them, without the paths it would build.
+    return {item_id: category for item_id, _, category in _load(manifest_path, corpus_mod._parse_manifest)}
 
 
 def _load_spec(args) -> corpus_mod.CorpusSpec:

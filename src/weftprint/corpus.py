@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (TextileGraph, _load, _read_number, _shown, _significant_lines, load_graph, save_graph,
+from .graph import (TextileGraph, _load, _read_number, _shown, _significant_lines, _write_text, load_graph,
                     serialize_graph)
 from .weaves import (
     TRANSFORM_OPS,
@@ -216,13 +216,20 @@ MANIFEST_NAME = "manifest.csv"
 
 
 def write_corpus(corpus, out_dir) -> Path:
-    """Write one ``.tg`` per item plus the manifest; returns the manifest path."""
+    """Write one ``.tg`` per item plus the manifest; returns the manifest path.
+
+    Items often share one graph object (see ``grid_to_graph``): each object
+    is serialized once, and held until the end so its id is not reused.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    texts = {}  # id(graph): (graph, its .tg text)
     for item in corpus:
         filename = f"{item.id}.tg"
-        save_graph(item.graph, out_dir / filename)
+        if id(item.graph) not in texts:
+            texts[id(item.graph)] = item.graph, serialize_graph(item.graph)
+        _write_text(out_dir / filename, texts[id(item.graph)][1])
         rows.append((item.id, filename, item.category))
     manifest = out_dir / MANIFEST_NAME
     with open(manifest, "w", encoding="utf-8", newline="") as fh:

@@ -40,6 +40,7 @@ from .graph import _CELL, _load, _shown, _write_text
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
 _EMPTY_JACCARD = "jaccard distance is undefined on empty fingerprints"
+_STALE = "stale corpus statistics: fingerprint contains an unknown neighborhood"
 
 
 def _shared(r: Mapping, s: Mapping):
@@ -128,7 +129,7 @@ def tfidf_weights(fp: Mapping, stats: CorpusStats) -> dict:
         if c <= 0:
             continue
         if p not in df:
-            raise ValueError("stale corpus statistics: fingerprint contains an unknown neighborhood")
+            raise ValueError(_STALE)
         weights[p] = (1.0 + math.log10(c)) * math.log10(n / df[p])
     return weights
 
@@ -232,15 +233,12 @@ def distance_matrix(
     if len(ids) != len(fingerprints):
         raise ValueError("ids and fingerprints must have equal length")
 
-    if metric == "tfidf":
-        stats = corpus_stats(fingerprints) if stats is None else stats
-        vectors = [tfidf_weights(fp, stats) for fp in fingerprints]
-    else:
-        vectors = list(fingerprints)
-    return DistanceMatrix(tuple(ids), _pairwise(vectors, metric), metric)
+    if metric == "tfidf" and stats is None:
+        stats = corpus_stats(fingerprints)
+    return DistanceMatrix(tuple(ids), _pairwise(fingerprints, metric, stats), metric)
 
 
-def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
+def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None) -> np.ndarray:
     """The columnar kernel behind ``distance_matrix``.
 
     Rows are ranked by (support size, index): that puts first the side
@@ -253,30 +251,8 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     grows with the total support size, never with n times the vocabulary.
     """
     n = len(vectors)
-    support = np.array([len(v) for v in vectors], dtype=np.int64)
-    order = np.argsort(support, kind="stable")
-    sizes = support[order]
-
-    # CSR rows in rank order, each in its own key order; ids interned once
-    vocab: dict = {}
-    keys: list[int] = []
-    counts: list = []
-    for a in order:
-        v = vectors[a]
-        keys.extend(vocab.setdefault(p, len(vocab)) for p in v)
-        counts.extend(v.values())
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    cols = np.array(keys, dtype=np.int64)
-    data = np.array(counts)
-    entry_row = np.repeat(np.arange(n), sizes)
-    if metric == "hbool":  # hfreq over presence: each count's truth value, as hamming_bool_distance reads it
-        data = data.astype(bool)
-    elif metric != "tfidf" and data.size and (data.dtype.kind not in "iu" or data.min() < 0):
-        # numpy stores whole counts past the int64 range as float or object
-        large = data.dtype.kind in "fO" and all(isinstance(c, int) for c in counts) and min(counts) >= 0
-        raise ValueError(f"counts too large for exact {metric} distances" if large
-                         else f"{metric} distance needs non-negative integer counts")
-    data = data.astype(np.float64)
+    order, indptr, cols, data, n_keys = _ranked_rows(vectors, metric, stats)
+    entry_row = np.repeat(np.arange(n), np.diff(indptr))
     squares = np.bincount(entry_row, weights=data * data, minlength=n)
     # every aggregate is bounded by a row's sum of squares (its support size under hbool): keep it float-exact
     if metric != "tfidf" and squares.max() >= 2.0**52:
@@ -287,7 +263,7 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
     by_col = np.argsort(cols, kind="stable")
     col_rows = entry_row[by_col]
     col_data = data[by_col]
-    col_end = np.cumsum(np.bincount(cols, minlength=len(vocab)))
+    col_end = np.cumsum(np.bincount(cols, minlength=n_keys))
     slot = np.empty_like(by_col)
     slot[by_col] = np.arange(by_col.size)
 
@@ -313,6 +289,67 @@ def _pairwise(vectors: list[Mapping], metric: str) -> np.ndarray:
         values[order[r], order[r + 1:]] = d
         values[order[r + 1:], order[r]] = d
     return values
+
+
+def _ranked_rows(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None):
+    """``(order, indptr, cols, data, key count)``: the kernel's float entries as CSR rows in rank order.
+
+    Each row keeps its own key order, and key ids are interned once.  Under
+    tfidf the entries are weighed as ``tfidf_weights`` weighs them before
+    the rows are ranked, so a dropped count leaves the support.  The key and
+    count lists built here are freed on return, before the kernel makes
+    its n x n result.
+    """
+    n = len(vectors)
+    vocab: dict = {}
+    keys: list[int] = []
+    counts: list = []
+    for v in vectors:
+        keys.extend(vocab.setdefault(p, len(vocab)) for p in v)
+        counts.extend(v.values())
+    cols = np.array(keys, dtype=np.int64)
+    data = np.array(counts)
+    entry_row = np.repeat(np.arange(n), [len(v) for v in vectors])
+    if metric == "tfidf":
+        cols, data, entry_row = _tfidf_entries(list(vocab), cols, data, entry_row, stats)
+    elif metric == "hbool":  # hfreq over presence: each count's truth value, as hamming_bool_distance reads it
+        data = data.astype(bool)
+    elif data.size and (data.dtype.kind not in "iu" or data.min() < 0):
+        # numpy stores whole counts past the int64 range as float or object
+        large = data.dtype.kind in "fO" and all(isinstance(c, int) for c in counts) and min(counts) >= 0
+        raise ValueError(f"counts too large for exact {metric} distances" if large
+                         else f"{metric} distance needs non-negative integer counts")
+    support = np.bincount(entry_row, minlength=n)
+    order = np.argsort(support, kind="stable")
+    sizes = support[order]
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    first = (np.cumsum(support) - support)[order]  # each ranked row's first entry, in input order
+    by_rank = np.repeat(first - indptr[:-1], sizes) + np.arange(indptr[-1])
+    return order, indptr, cols[by_rank], data[by_rank].astype(np.float64), len(vocab)
+
+
+def _tfidf_entries(terms: list, cols: np.ndarray, data: np.ndarray, entry_row: np.ndarray,
+                   stats: CorpusStats):
+    """``(cols, weights, entry_row)`` of the entries ``tfidf_weights`` keeps; ``terms[i]`` is key id i.
+
+    A count ``<= 0`` is dropped and a NaN count kept.  TF is computed once
+    per distinct count and IDF once per kept key, with the per-pair
+    function's operations, so the weights are equal bit for bit.
+    """
+    distinct, which = np.unique(data, return_inverse=True)
+    distinct = distinct.tolist()  # the Python numbers, which tfidf_weights compares and logs
+    kept = np.array([not c <= 0 for c in distinct], dtype=bool)
+    tf = np.array([1.0 + math.log10(c) if k else 0.0 for c, k in zip(distinct, kept)])
+    keep = kept[which]
+    cols, which, entry_row = cols[keep], which[keep], entry_row[keep]
+    used = np.zeros(len(terms), dtype=bool)
+    used[cols] = True
+    idf = np.zeros(len(terms))
+    for i in np.flatnonzero(used).tolist():
+        if terms[i] not in stats.df:  # a kept key only, as tfidf_weights checks
+            raise ValueError(_STALE)
+        idf[i] = math.log10(stats.n_items / stats.df[terms[i]])
+    return cols, tf[which] * idf[cols], entry_row
 
 
 def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarray:
@@ -351,9 +388,6 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     return "".join(lines)
 
 
-_NOT_NUMERIC = str.maketrans("", "", "0123456789.eE+-,")
-
-
 def _csv_canonical(text: str):
     """``(ids, values)`` of plainly spelled distance CSV text, else ``None``.
 
@@ -361,6 +395,10 @@ def _csv_canonical(text: str):
     ids equal to the header's, and non-empty rows of cells made of digits,
     signs, points and exponents.  ``None`` only means "not plain": the
     caller then runs the csv reader, which accepts or rejects the text.
+    Cells of digits alone are read as int64, which is faster, then
+    converted: both roundings are to nearest, so the floats are equal; a
+    cell past int64 takes the float read, as does any sign, so ``-0``
+    keeps its sign.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -375,13 +413,21 @@ def _csv_canonical(text: str):
     bodies = [body for _, _, body in rows]
     if [row_id for row_id, _, _ in rows] != header[1:] or "" in bodies:
         return None
-    if ",".join(bodies).translate(_NOT_NUMERIC):
+    cells = ",".join(bodies)
+    if not cells.isascii():
         return None
-    try:
-        values = np.loadtxt(bodies, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+    cells = cells.encode("ascii")
+    if cells.translate(None, b"0123456789,.eE+-"):
         return None
-    return (tuple(header[1:]), values) if values.shape == (n, n) else None
+    whole = not cells.translate(None, b"0123456789,")
+    for dtype in (np.int64, np.float64) if whole else (np.float64,):
+        try:
+            values = np.loadtxt(bodies, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, OverflowError):  # an empty cell, say, or past int64: numpy 1.24 may raise either
+            continue
+        values = values.astype(np.float64, copy=False)
+        return (tuple(header[1:]), values) if values.shape == (n, n) else None
+    return None
 
 
 def _csv_rows(text: str):

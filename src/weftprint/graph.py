@@ -130,11 +130,13 @@ class TextileGraph:
     graph can be shared freely across threads.
     ``next_node`` and ``opposite``, the thread structure, live in a frame:
     ``grid_to_graph`` puts every graph of one grid shape on one shared
-    frame, and a graph built here gets a frame of its own.  The first walk
-    caches the arrays as Python lists: the frame's two for its life, the
-    graph's ``on_top`` for the graph's.  Each holds one pointer per node,
-    to int objects that every graph shares through one growing module
-    table, so ids above 256 cost no int of their own.
+    frame, and a graph built here gets a frame of its own.  ``grid_to_graph``
+    also returns one graph per distinct matrix, so many corpus items may
+    hold one graph object, safely, since a graph never changes once built.
+    The first walk caches the arrays as Python lists: the frame's two for
+    its life, the graph's ``on_top`` for the graph's.  Each holds one
+    pointer per node, to int objects that every graph shares through one
+    growing module table, so ids above 256 cost no int of their own.
     A graph that breaks the model can be built, for :func:`validate` to
     report on, but not walked or serialized: the first walk or
     :func:`serialize_graph` runs :func:`validate` once, unless

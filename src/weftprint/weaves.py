@@ -228,6 +228,8 @@ def perturb(cells, rate: float, seed) -> np.ndarray:
 
 # The frame of each grid shape (h, w) that some graph still holds.
 _FRAMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The graph of each weave matrix, keyed by its shape and packed cells, that someone still holds.
+_GRAPHS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _grid_frame(h: int, w: int) -> _Frame:
@@ -255,11 +257,17 @@ def grid_to_graph(cells) -> TextileGraph:
     3 to slot 2 of the crossing to the right; grid-boundary arms terminate.
     The links depend on the shape alone, so every graph of one shape
     shares one read-only frame of ``next_node`` and ``opposite`` and its
-    walk lists, for as long as any of them lives; only ``on_top`` is the
-    graph's own.  Every boolean matrix gives a valid graph, so walks skip
-    the check.
+    walk lists, for as long as any of them lives.  Graphs are immutable,
+    so equal matrices share one graph, with its ``on_top`` and walk lists,
+    for as long as someone holds it: ``grid_to_graph(m) is
+    grid_to_graph(m.copy())``.  Every boolean matrix gives a valid graph,
+    so walks skip the check.
     """
     m = _as_matrix(cells)
-    top = np.stack([m, m, ~m, ~m], -1).ravel()
-    top.flags.writeable = False
-    return TextileGraph._on_frame(_grid_frame(*m.shape), top)
+    key = (m.shape, np.packbits(m).tobytes())  # packbits reads a view in row-major order
+    graph = _GRAPHS.get(key)
+    if graph is None:
+        top = np.stack([m, m, ~m, ~m], -1).ravel()
+        top.flags.writeable = False
+        graph = _GRAPHS.setdefault(key, TextileGraph._on_frame(_grid_frame(*m.shape), top))
+    return graph

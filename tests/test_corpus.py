@@ -2,12 +2,15 @@ import dataclasses
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import weftprint.corpus as corpus_module
+import weftprint.weaves as weaves_module
 from weftprint.corpus import (
     CategorySpec,
     CorpusSpec,
@@ -18,7 +21,7 @@ from weftprint.corpus import (
     read_manifest,
     write_corpus,
 )
-from weftprint.graph import validate
+from weftprint.graph import serialize_graph, validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
@@ -85,6 +88,18 @@ class TestGenerate:
         assert [item.graph == clean for item in corpus[:4]] == [True] * 4
         assert all(item.graph != clean for item in corpus[4:6])
         assert all(item.graph.crossing_count == 64 for item in corpus)
+
+    def test_equal_matrices_share_one_graph_and_the_same_text(self, desk_corpus, monkeypatch):
+        assert len(desk_corpus) == 180 and len({id(item.graph) for item in desk_corpus}) == 88
+
+        class Unshared(dict):  # a graph table that never hands back a graph
+            def setdefault(self, key, value):
+                return value
+
+        monkeypatch.setattr(weaves_module, "_GRAPHS", Unshared())
+        unshared = generate_corpus(desk_scale_spec())
+        assert len({id(item.graph) for item in unshared}) == 180
+        assert corpus_to_text(unshared) == corpus_to_text(desk_corpus)
 
     def test_determinism_byte_identical(self):
         a = corpus_to_text(generate_corpus(desk_scale_spec()))
@@ -357,6 +372,13 @@ class TestCorpusFiles:
         assert all(path.exists() for _, path, _ in rows)
         loaded = load_corpus(manifest)
         assert loaded == corpus
+
+    def test_each_graph_object_serialized_once(self, desk_corpus, tmp_path):
+        with mock.patch.object(corpus_module, "serialize_graph", wraps=serialize_graph) as serialize:
+            write_corpus(desk_corpus, tmp_path)
+        assert serialize.call_count == 88
+        for item in desk_corpus:
+            assert (tmp_path / f"{item.id}.tg").read_text(encoding="utf-8") == serialize_graph(item.graph)
 
     def test_manifest_header_enforced(self, tmp_path):
         bad = tmp_path / "manifest.csv"

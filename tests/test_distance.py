@@ -348,8 +348,8 @@ def bits(x) -> bytes:
     return np.float64(x).tobytes()
 
 
-def assert_kernel_matches_pairs(fps, metrics=METRICS):
-    stats = corpus_stats(fps)
+def assert_kernel_matches_pairs(fps, metrics=METRICS, stats=None):
+    stats = corpus_stats(fps) if stats is None else stats
     n = len(fps)
     for metric in metrics:
         try:
@@ -418,6 +418,23 @@ class TestKernelMatchesPairDistance:
     @example([Counter({"a": 2**1100, "b": 1}), Counter({"a": 1})])  # hbool 1.0, not an OverflowError
     def test_hbool_counts_past_the_float_range(self, fps):
         assert_kernel_matches_pairs(fps, ("hbool",))
+
+    @settings(deadline=None)
+    @given(corpora(st.dictionaries(KEYS, st.integers(-3, 9) | st.just(math.nan) | st.integers(2**64, 2**70),
+                                   max_size=6).map(Counter)))
+    @example([Counter({"a": 2, "b": -1, "c": 0}), Counter({"b": math.nan, "a": 1})])
+    def test_tfidf_drops_counts_up_to_zero_and_keeps_nan(self, fps):
+        assert_kernel_matches_pairs(fps, ("tfidf",))
+
+    def test_tfidf_stale_statistics(self):
+        fps = [Counter({"a": 2, "u": 0, "b": 1}), Counter({"a": 1, "v": -2})]
+        stats = CorpusStats(2, Counter({"a": 2, "b": 1}))
+        assert_kernel_matches_pairs(fps, ("tfidf",), stats)  # u and v are unknown, but dropped before the check
+        assert distance_matrix(fps, "tfidf", stats=stats).values[0, 1] == pair_distance(*fps, "tfidf", stats)
+        fps[1]["w"] = math.nan  # kept, so unknown
+        with pytest.raises(ValueError, match="^stale corpus statistics: fingerprint contains an unknown neighborhood$"):
+            distance_matrix(fps, "tfidf", stats=stats)
+        assert_kernel_matches_pairs(fps, ("tfidf",), stats)
 
     def test_desk_corpus_all_metrics(self, desk_fingerprints):
         _, fps = desk_fingerprints[4]
@@ -579,6 +596,20 @@ class TestCsvFastPath:
             fast = _outcome(text)
         with mock.patch.object(distance, "_csv_canonical", return_value=None):
             assert fast == _outcome(text)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(
+        st.sampled_from(["0", "7", "007", "-0", "+3", str(2**53 + 1), str(2**63 - 1), str(2**63), "9" * 300])
+        | st.integers(0, 2**66).map(str), min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([["0", str(2**53 + 1)], [str(2**63 - 1), "007"]])  # the int64 read
+    @example([["0", str(2**63)], ["9" * 300, "1"]])  # past int64: the float read
+    @example([["-0", "+3"], ["3", "0"]])
+    def test_whole_cells_read_as_the_reference_reads_them(self, rows):
+        ids = [f"g{i}" for i in range(len(rows))]
+        text = "".join(",".join(row) + "\n" for row in [["id", *ids], *([i, *r] for i, r in zip(ids, rows))])
+        fast_ids, values = distance._csv_canonical(text)
+        want_ids, want = distance._csv_rows(text)
+        assert (fast_ids, values.dtype, values.tobytes()) == (want_ids, want.dtype, want.tobytes())
 
 
 WRITER_IDS = ["g0", "g1", "g2", "id", "", " a", "a b", "x,y", 'q"t', "a\rb", "a\nb", "\u0663", "\u00e9t\u00e9"]

@@ -363,6 +363,31 @@ class TestGridToGraph:
         gc.collect()
         assert len(weaves_module._FRAMES) == 0
 
+    def test_equal_matrices_share_one_graph(self):
+        m = random_weave(0.5, 7, 5, 4)
+        assert grid_to_graph(m) is grid_to_graph(m.copy())
+        for view in (rotate90(m), rotate180(m), m.T):
+            assert not view.flags.c_contiguous
+            assert grid_to_graph(view) is grid_to_graph(np.ascontiguousarray(view))
+        assert grid_to_graph(m) is not grid_to_graph(perturb(m, 0.5, 1))
+
+    def test_equal_cells_of_other_shapes_give_other_graphs(self):
+        long, square = grid_to_graph(np.ones((1, 8), dtype=bool)), grid_to_graph(np.ones((2, 4), dtype=bool))
+        assert long is not square  # both pack to the one byte 0xff
+        assert not np.array_equal(long.next_node, square.next_node)
+
+    def test_graphs_go_when_no_one_holds_them(self, monkeypatch):
+        monkeypatch.setattr(weaves_module, "_GRAPHS", type(weaves_module._GRAPHS)())
+        kept, dropped = grid_to_graph(plain_weave(3, 4)), grid_to_graph(twill_weave(2, 1, 3, 4))
+        kept._thread_arrays()
+        assert len(weaves_module._GRAPHS) == 2
+        del dropped
+        gc.collect()
+        assert len(weaves_module._GRAPHS) == 1 and grid_to_graph(plain_weave(3, 4)) is kept
+        del kept
+        gc.collect()
+        assert len(weaves_module._GRAPHS) == 0
+
     def test_always_validates_500_matrices_up_to_16(self):
         rng = np.random.default_rng(500)
         for _ in range(500):
