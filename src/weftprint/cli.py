@@ -135,7 +135,8 @@ def _fingerprint_files(paths, k) -> list[Fingerprint]:
 
 def _fingerprint_texts(files, k) -> list[Fingerprint]:
     """Fingerprints of the ``(path, bytes)`` pairs ``files``, in order, one worker per available CPU."""
-    # macOS has no affinity call; it stays serial, as do hosts without fork.
+    # Windows and macOS have no affinity call, so they stay serial; every
+    # host that has one (Linux, FreeBSD) has fork.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(files))
     if workers > 1:
@@ -144,16 +145,15 @@ def _fingerprint_texts(files, k) -> list[Fingerprint]:
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Executor.map yields in input order and raises there, whichever
-            # worker failed first; a worker that dies breaks the pool, where a
-            # multiprocessing.Pool would wait for its lost chunk forever.
-            try:
-                with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                    chunk = -(-len(files) // (4 * workers))  # Pool.map's default: four chunks per worker
-                    return list(pool.map(_fingerprint_file, files, itertools.repeat(k), chunksize=chunk))
-            except BrokenProcessPool:  # an OSError, so main reports it as a data error
-                raise ChildProcessError("a worker process died before it fingerprinted its files") from None
+        # Executor.map yields in input order and raises there, whichever
+        # worker failed first; a worker that dies breaks the pool, where a
+        # multiprocessing.Pool would wait for its lost chunk forever.
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                chunk = -(-len(files) // (4 * workers))  # Pool.map's default: four chunks per worker
+                return list(pool.map(_fingerprint_file, files, itertools.repeat(k), chunksize=chunk))
+        except BrokenProcessPool:  # an OSError, so main reports it as a data error
+            raise ChildProcessError("a worker process died before it fingerprinted its files") from None
     return [_fingerprint_file(file, k) for file in files]
 
 
@@ -175,15 +175,10 @@ def _cmd_fingerprint(args) -> int:
     return 0
 
 
-def _build_matrix(manifest_path, metric, k):
-    rows = corpus_mod.read_manifest(manifest_path)
-    ids = [r[0] for r in rows]
-    fps = _fingerprint_files([r[1] for r in rows], k)
-    return distance_mod.distance_matrix(fps, metric, ids=ids)
-
-
 def _cmd_distmatrix(args) -> int:
-    dm = _build_matrix(args.manifest, args.metric, args.k)
+    rows = corpus_mod.read_manifest(args.manifest)
+    fps = _fingerprint_files([r[1] for r in rows], args.k)
+    dm = distance_mod.distance_matrix(fps, args.metric, ids=[r[0] for r in rows])
     distance_mod.save_distance_matrix(dm, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -218,18 +218,18 @@ MANIFEST_NAME = "manifest.csv"
 def write_corpus(corpus, out_dir) -> Path:
     """Write one ``.tg`` per item plus the manifest; returns the manifest path.
 
-    Items often share one graph object (see ``grid_to_graph``): each object
-    is serialized once, and held until the end so its id is not reused.
+    Graphs are hashable by content, with the same hash in every process, so
+    each distinct graph is serialized once.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    texts = {}  # id(graph): (graph, its .tg text)
+    texts = {}  # graph: its .tg text
     for item in corpus:
         filename = f"{item.id}.tg"
-        if id(item.graph) not in texts:
-            texts[id(item.graph)] = item.graph, serialize_graph(item.graph)
-        _write_text(out_dir / filename, texts[id(item.graph)][1])
+        if item.graph not in texts:
+            texts[item.graph] = serialize_graph(item.graph)
+        _write_text(out_dir / filename, texts[item.graph])
         rows.append((item.id, filename, item.category))
     manifest = out_dir / MANIFEST_NAME
     with open(manifest, "w", encoding="utf-8", newline="") as fh:

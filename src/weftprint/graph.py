@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 import threading
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -133,6 +134,8 @@ class TextileGraph:
     frame, and a graph built here gets a frame of its own.  ``grid_to_graph``
     also returns one graph per distinct matrix, so many corpus items may
     hold one graph object, safely, since a graph never changes once built.
+    Graphs are hashable by content: equal arrays, equal graphs, and the
+    same hash in every process.
     The first walk caches the arrays as Python lists: the frame's two for
     its life, the graph's ``on_top`` for the graph's.  Each holds one
     pointer per node, to int objects that every graph shares through one
@@ -188,6 +191,15 @@ class TextileGraph:
             and np.array_equal(self.on_top, other.on_top)
             and np.array_equal(self.opposite, other.opposite)
         )
+
+    def __hash__(self):
+        # crc32, not hash() of the bytes, which PYTHONHASHSEED salts: a graph
+        # pickled into another process carries its cached hash along.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = zlib.crc32(self.opposite, zlib.crc32(self.on_top, zlib.crc32(self.next_node)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __repr__(self):
         return f"TextileGraph(crossings={self.crossing_count})"

@@ -30,6 +30,17 @@ from oracles import configparser_corpus_spec, per_motif_mixed_weave
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+class Unshared(dict):  # a graph table that never hands back a graph
+    def setdefault(self, key, value):
+        return value
+
+
+def unshared_desk_corpus():
+    """The desk corpus with a graph object of its own for each of its 180 items."""
+    with mock.patch.object(weaves_module, "_GRAPHS", Unshared()):
+        return generate_corpus(desk_scale_spec())
+
+
 def single_category(**overrides):
     base = dict(name="plain", kind="plain", count=3, width=4, height=4)
     base.update(overrides)
@@ -89,15 +100,9 @@ class TestGenerate:
         assert all(item.graph != clean for item in corpus[4:6])
         assert all(item.graph.crossing_count == 64 for item in corpus)
 
-    def test_equal_matrices_share_one_graph_and_the_same_text(self, desk_corpus, monkeypatch):
+    def test_equal_matrices_share_one_graph_and_the_same_text(self, desk_corpus):
         assert len(desk_corpus) == 180 and len({id(item.graph) for item in desk_corpus}) == 88
-
-        class Unshared(dict):  # a graph table that never hands back a graph
-            def setdefault(self, key, value):
-                return value
-
-        monkeypatch.setattr(weaves_module, "_GRAPHS", Unshared())
-        unshared = generate_corpus(desk_scale_spec())
+        unshared = unshared_desk_corpus()
         assert len({id(item.graph) for item in unshared}) == 180
         assert corpus_to_text(unshared) == corpus_to_text(desk_corpus)
 
@@ -374,11 +379,13 @@ class TestCorpusFiles:
         assert loaded == corpus
 
     def test_each_graph_object_serialized_once(self, desk_corpus, tmp_path):
-        with mock.patch.object(corpus_module, "serialize_graph", wraps=serialize_graph) as serialize:
-            write_corpus(desk_corpus, tmp_path)
-        assert serialize.call_count == 88
-        for item in desk_corpus:
-            assert (tmp_path / f"{item.id}.tg").read_text(encoding="utf-8") == serialize_graph(item.graph)
+        # 88 distinct graphs, shared as 88 objects or held as 180 equal copies
+        for name, corpus in (("shared", desk_corpus), ("unshared", unshared_desk_corpus())):
+            with mock.patch.object(corpus_module, "serialize_graph", wraps=serialize_graph) as serialize:
+                write_corpus(corpus, tmp_path / name)
+            assert serialize.call_count == 88
+            for item in corpus:
+                assert (tmp_path / name / f"{item.id}.tg").read_text(encoding="utf-8") == serialize_graph(item.graph)
 
     def test_manifest_header_enforced(self, tmp_path):
         bad = tmp_path / "manifest.csv"

@@ -1,7 +1,11 @@
+import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,6 +687,33 @@ def test_pickled_grid_graph_reads_the_same():
     walked = pickle.loads(pickle.dumps(g))  # with its walk lists
     for back in (fresh, walked):
         assert back == g and [fingerprint(back, k) for k in (1, 3)] == prints
+
+
+def test_equal_graphs_hash_equal_and_meet_as_one_key():
+    g = grid_to_graph(random_weave(0.5, 9, 6, 5))
+    own = TextileGraph(g.next_node.copy(), g.on_top.copy(), g.opposite.copy())
+    fresh = pickle.loads(pickle.dumps(g))  # before its hash is cached
+    h = hash(g)
+    hashed = pickle.loads(pickle.dumps(g))  # with its cached hash
+    assert len({id(x) for x in (g, own, fresh, hashed)}) == 4
+    assert hash(own) == hash(fresh) == hash(hashed) == h
+    assert {g: 0, own: 1, fresh: 2, hashed: 3} == {g: 3}
+
+    top = g.on_top.copy()
+    top[5] = not top[5]
+    flipped = TextileGraph(g.next_node, top, g.opposite)
+    assert flipped != g and hash(flipped) != hash(g)  # crc32 catches every one-bit change
+    assert len({g, flipped}) == 2
+
+
+def test_graph_hash_is_the_same_in_every_process():
+    cells = [[1, 0, 0], [0, 1, 1]]
+    code = f"from weftprint.weaves import grid_to_graph; print(hash(grid_to_graph({cells})))"
+    src = str(Path(graph_module.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs == [f"{hash(grid_to_graph(cells))}\n"] * 2
 
 
 @settings(max_examples=40, deadline=None)
