@@ -22,7 +22,8 @@ from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
 from .fingerprint import Fingerprint, _walk_each_once, fingerprint, save_fingerprint
-from .graph import _load, _read_number, _shown, _write_text, parse_graph
+from . import textio
+from .graph import parse_graph
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -39,9 +40,9 @@ class _Parser(argparse.ArgumentParser):
 def _integer(text: str) -> int:
     # The file formats' integer rule, so '٣', '1_0' and ' 9 ' are refused.
     try:
-        return _read_number(text, int, "")
+        return textio.read_number(text, int, "")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {textio.shown(text)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_labels(manifest_path) -> dict[str, str]:
     # The rows as read_manifest checks them, without the paths it would build.
-    return {item_id: category for item_id, _, category in _load(manifest_path, corpus_mod._parse_manifest)}
+    return {item_id: category for item_id, _, category in textio.load(manifest_path, corpus_mod._parse_manifest)}
 
 
 def _load_spec(args) -> corpus_mod.CorpusSpec:
@@ -107,7 +108,7 @@ def _cmd_generate(args) -> int:
 
 def _fingerprint_file(file, k) -> Fingerprint:
     path, data = file
-    return fingerprint(_load(path, parse_graph, data), k)
+    return fingerprint(textio.load(path, parse_graph, data), k)
 
 
 def _fingerprint_files(paths, k) -> list[Fingerprint]:
@@ -189,7 +190,7 @@ def _cmd_cluster(args) -> int:
     labels = _load_labels(args.truth)
     partition = eval_mod.upgma_cluster(dm, args.clusters)
     scores = eval_mod.pair_scores(partition, eval_mod.Partition.from_labels(labels))
-    _write_text(args.report, eval_mod.cluster_report_json(scores, partition))
+    textio.write_text(args.report, eval_mod.cluster_report_json(scores, partition))
     print(f"RI={scores.rand_index:.6f} P={scores.precision:.6f} "
           f"R={scores.recall:.6f} F={scores.f_measure:.6f}")
     return 0
@@ -199,8 +200,8 @@ def _cmd_retrieve(args) -> int:
     dm = distance_mod.load_distance_matrix(args.dist)
     labels = _load_labels(args.truth)
     curves = eval_mod.interpolated_curves(dm, labels)
-    _write_text(args.curves, eval_mod.curves_to_csv(curves))
-    _write_text(args.report, eval_mod.retrieval_report_json(curves))
+    textio.write_text(args.curves, eval_mod.curves_to_csv(curves))
+    textio.write_text(args.report, eval_mod.retrieval_report_json(curves))
     print(f"MAP={curves.map:.6f}")
     return 0
 
@@ -208,10 +209,10 @@ def _cmd_retrieve(args) -> int:
 def _parse_k_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
-        raise ValueError(f"--k-range must look like a..b, got {_shown(text)}")
-    lo, hi = (_read_number(bound, int, "--k-range bound") for bound in (lo, hi))
+        raise ValueError(f"--k-range must look like a..b, got {textio.shown(text)}")
+    lo, hi = (textio.read_number(bound, int, "--k-range bound") for bound in (lo, hi))
     if lo < 1 or hi < lo:
-        raise ValueError(f"--k-range needs 1 <= a <= b, got {_shown(text)}")
+        raise ValueError(f"--k-range needs 1 <= a <= b, got {textio.shown(text)}")
     return range(lo, hi + 1)
 
 
@@ -243,7 +244,7 @@ def _cmd_bench(args) -> int:
                 distance_mod.distance_matrix([fingerprint(item.graph, k) for item in corpus], metric, ids=ids)
                 samples.append(time.perf_counter() - start)
             lines.append(f"{metric},{k},{statistics.median(samples):.6f}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    textio.write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0
 

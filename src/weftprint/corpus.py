@@ -33,7 +33,6 @@ manifest).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -41,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import (TextileGraph, _load, _read_number, _shown, _significant_lines, _write_text, load_graph,
-                    serialize_graph)
+from . import textio
+from .graph import TextileGraph, load_graph, serialize_graph
 from .weaves import (
     TRANSFORM_OPS,
     _motif_pool,
@@ -75,7 +74,7 @@ class CategorySpec:
         try:  # each generator owns its argument ranges: build one 1x1 sample to apply them
             weave_matrix(self.kind, 1, 1, seed=0)
         except ValueError as exc:
-            raise ValueError(f"category {self.name!r}: weave kind {_shown(self.kind)}: {exc}") from None
+            raise ValueError(f"category {self.name!r}: weave kind {textio.shown(self.kind)}: {exc}") from None
         if self.count < 1:
             raise ValueError(f"category {self.name!r}: count must be >= 1")
         if self.seed is not None and self.seed < 0:
@@ -173,14 +172,14 @@ def _read_section(section, types: dict, where: str) -> dict:
     unknown = set(section) - set(types)
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    return {key: text if types[key] is str else _read_number(text, types[key], f"{where}: {key}")
+    return {key: text if types[key] is str else textio.read_number(text, types[key], f"{where}: {key}")
             for key, text in section.items()}
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
-    """The spec in ``text``, whose lines, blank lines and comments follow the ``.tg`` rule."""
+    """The spec in ``text``, whose lines, blank lines and comments follow the :mod:`textio` rule."""
     sections, current = {}, None
-    for lineno, _, line in _significant_lines(text):
+    for lineno, _, line in textio.significant_lines(text):
         key, equals, value = (part.strip(" \t") for part in line.partition("="))
         if line.startswith("[") and line.endswith("]"):
             if line[1:-1] in sections:
@@ -188,11 +187,11 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             current = sections[line[1:-1]] = {}
         elif not equals:
             raise ValueError(f"bad corpus spec: line {lineno}: expected '[section]' or 'key = value', "
-                             f"got {_shown(line)}")
+                             f"got {textio.shown(line)}")
         elif current is None:
-            raise ValueError(f"bad corpus spec: line {lineno}: key {_shown(key)} before any section")
+            raise ValueError(f"bad corpus spec: line {lineno}: key {textio.shown(key)} before any section")
         elif key in current:
-            raise ValueError(f"bad corpus spec: line {lineno}: repeated key {_shown(key)}")
+            raise ValueError(f"bad corpus spec: line {lineno}: repeated key {textio.shown(key)}")
         else:
             current[key] = value
 
@@ -207,7 +206,7 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
 
 def load_corpus_spec(path) -> CorpusSpec:
-    return _load(path, parse_corpus_spec)
+    return textio.load(path, parse_corpus_spec)
 
 
 # --- corpus directories ---------------------------------------------------------
@@ -229,7 +228,7 @@ def write_corpus(corpus, out_dir) -> Path:
         filename = f"{item.id}.tg"
         if item.graph not in texts:
             texts[item.graph] = serialize_graph(item.graph)
-        _write_text(out_dir / filename, texts[item.graph])
+        textio.write_text(out_dir / filename, texts[item.graph])
         rows.append((item.id, filename, item.category))
     manifest = out_dir / MANIFEST_NAME
     with open(manifest, "w", encoding="utf-8", newline="") as fh:
@@ -241,11 +240,7 @@ def write_corpus(corpus, out_dir) -> Path:
 
 def _parse_manifest(text: str) -> list[list[str]]:
     """The (id, relative path, category) rows of manifest text."""
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
-    except csv.Error as exc:  # malformed quoting or a field over the size limit
-        raise ValueError(f"manifest: {exc}") from None
-    rows = [r for r in rows if r]
+    rows = textio.csv_rows(text, "manifest")
     if not rows or rows[0] != ["id", "path", "category"]:
         raise ValueError("manifest must start with header 'id,path,category'")
     seen = set()
@@ -261,17 +256,8 @@ def _parse_manifest(text: str) -> list[list[str]]:
 def read_manifest(path) -> list[tuple[str, Path, str]]:
     """Rows as (id, absolute path, category)."""
     parent = Path(path).parent
-    return [(item_id, parent / rel_path, category) for item_id, rel_path, category in _load(path, _parse_manifest)]
+    return [(item_id, parent / rel, category) for item_id, rel, category in textio.load(path, _parse_manifest)]
 
 
 def load_corpus(manifest_path) -> list[CorpusItem]:
     return [CorpusItem(item_id, load_graph(p), category) for item_id, p, category in read_manifest(manifest_path)]
-
-
-def corpus_to_text(corpus) -> str:
-    """Single deterministic text dump of a corpus, for byte-level comparisons."""
-    buf = io.StringIO()
-    for item in corpus:
-        buf.write(f"=== {item.id} {item.category}\n")
-        buf.write(serialize_graph(item.graph))
-    return buf.getvalue()

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .graph import _CELL, _load, _shown, _write_text
+from . import textio
 
 METRICS = ("jaccard", "hbool", "hfreq", "cosine", "tfidf")
 INTEGER_METRICS = ("hbool", "hfreq")
@@ -435,10 +435,7 @@ def _csv_rows(text: str):
 
     It is the one that reports errors, with the row, id and column.
     """
-    try:
-        rows = [r for r in csv.reader(io.StringIO(text, newline=""), strict=True) if r]
-    except csv.Error as exc:  # malformed quoting or a field over the size limit
-        raise ValueError(f"distance CSV: {exc}") from None
+    rows = textio.csv_rows(text, "distance CSV")
     if not rows or rows[0][:1] != ["id"]:
         raise ValueError("distance CSV must start with an 'id,...' header row")
     ids = tuple(rows[0][1:])
@@ -450,8 +447,8 @@ def _csv_rows(text: str):
         if len(row) != n + 1 or row[0] != ids[i]:
             raise ValueError(f"distance CSV row {i + 1} does not match header ids")
         for j, cell in enumerate(row[1:]):
-            if not _CELL.fullmatch(cell):
-                raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): {_shown(cell)} is not a decimal number "
+            if not textio.CELL.fullmatch(cell):
+                raise ValueError(f"distance CSV row {i + 1} ({ids[i]!r}): {textio.shown(cell)} is not a decimal number "
                                  f"in column {ids[j]!r}")
         values[i] = [float(x) for x in row[1:]]
     return ids, values
@@ -463,8 +460,8 @@ def csv_to_distance_matrix(text: str) -> DistanceMatrix:
 
 
 def save_distance_matrix(dm: DistanceMatrix, path) -> None:
-    _write_text(path, distance_matrix_to_csv(dm))
+    textio.write_text(path, distance_matrix_to_csv(dm))
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
-    return _load(path, csv_to_distance_matrix)  # a CR in a quoted id stays a CR
+    return textio.load(path, csv_to_distance_matrix)  # a CR in a quoted id stays a CR

@@ -29,7 +29,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-from .graph import GraphParseError, TextileGraph, _fields, _int_field, _load, _shown, _significant_lines, _write_text
+from . import textio
+from .graph import TextileGraph
 
 PAD = "_"
 _LABEL_CHARS = "ANT" + PAD  # decode order must match the codes in the walk
@@ -240,19 +241,19 @@ def format_neighborhood(nb: Neighborhood) -> str:
 def parse_neighborhood(key: str) -> Neighborhood:
     parts = key.split(";")
     if len(parts) != 2:
-        raise ValueError(f"neighborhood key must have two ';'-joined pairs: {_shown(key)}")
+        raise ValueError(f"neighborhood key must have two ';'-joined pairs: {textio.shown(key)}")
     pairs = []
     for part in parts:
         arms = part.split(",")
         if len(arms) != 2:
-            raise ValueError(f"each pair must have two ','-joined arms: {_shown(key)}")
+            raise ValueError(f"each pair must have two ','-joined arms: {textio.shown(key)}")
         pairs.append(arms)
     arms = pairs[0] + pairs[1]
     if len({len(a) for a in arms}) != 1 or not arms[0]:
-        raise ValueError(f"arms must share one positive length: {_shown(key)}")
+        raise ValueError(f"arms must share one positive length: {textio.shown(key)}")
     for a in arms:
         if not _FILE_ARM.fullmatch(a):
-            raise ValueError(f"arm {_shown(a)} is not a walk [AN]*(T0*)?: "
+            raise ValueError(f"arm {textio.shown(a)} is not a walk [AN]*(T0*)?: "
                              "A/N steps, then at most one T and only 0 pads")
     decoded = [a.translate(_FROM_FILE) for a in arms]
     return canonical_neighborhood(decoded[:2], decoded[2:])
@@ -262,11 +263,11 @@ def fingerprint_to_text(fp: Fingerprint) -> str:
     """``.fp`` text of ``fp``; refuses every key and count that :func:`text_to_fingerprint` would not read back."""
     for nb, count in fp.items():
         if type(count) is not int or count < 1:  # a bool is not an int here
-            raise ValueError(f"count of {_shown(str(nb))} must be an int >= 1, got {count!r}")
+            raise ValueError(f"count of {textio.shown(str(nb))} must be an int >= 1, got {count!r}")
         m = _KEY.fullmatch(nb) if isinstance(nb, str) else None
         a0, a1, b0, b1 = m.groups() if m else ("",) * 4
         if not (0 < len(a0) == len(a1) == len(b0) == len(b1) and a0 <= a1 and b0 <= b1 and (a0, a1) <= (b0, b1)):
-            raise ValueError(f"neighborhood {_shown(str(nb))} is not canonical: four walks of one length, "
+            raise ValueError(f"neighborhood {textio.shown(str(nb))} is not canonical: four walks of one length, "
                              "sorted within each pair and pair by pair")
     depths = {(len(nb) - 3) // 4 for nb in fp}
     if len(depths) > 1:
@@ -276,36 +277,37 @@ def fingerprint_to_text(fp: Fingerprint) -> str:
 
 
 def text_to_fingerprint(text: str) -> Fingerprint:
-    """Parse ``.fp`` text; lines and fields follow the ``.tg`` rule, and errors carry their line and column."""
+    """Parse ``.fp`` text; lines and fields follow the :mod:`textio` rule, and errors carry their line and column."""
     fp: Counter = Counter()
     first_line = {}
     key_length = None
-    for lineno, raw, line in _significant_lines(text):
-        fields = _fields(raw)
+    for lineno, raw, line in textio.significant_lines(text):
+        fields = textio.fields(raw)
         if len(fields) != 2:
-            raise GraphParseError(f"expected '<key> <count>', got {_shown(line)}", lineno)
+            raise textio.GraphParseError(f"expected '<key> <count>', got {textio.shown(line)}", lineno)
         (key_token, key_col), (count_token, count_col) = fields
-        count = _int_field(count_token, lineno, count_col, "count")
+        count = textio.int_field(count_token, lineno, count_col, "count")
         if count < 1:
-            raise GraphParseError(f"count must be >= 1, got {count}", lineno, count_col)
+            raise textio.GraphParseError(f"count must be >= 1, got {count}", lineno, count_col)
         try:
             key = parse_neighborhood(key_token)
         except ValueError as exc:
-            raise GraphParseError(str(exc), lineno, key_col) from None
+            raise textio.GraphParseError(str(exc), lineno, key_col) from None
         if key_length is None:
             key_length = len(key)
         elif len(key) != key_length:
-            raise GraphParseError("neighborhood depth differs from earlier lines", lineno, key_col)
+            raise textio.GraphParseError("neighborhood depth differs from earlier lines", lineno, key_col)
         if key in first_line:
-            raise GraphParseError(f"neighborhood {_shown(key_token)} repeats line {first_line[key]}", lineno, key_col)
+            raise textio.GraphParseError(f"neighborhood {textio.shown(key_token)} repeats line {first_line[key]}",
+                                         lineno, key_col)
         first_line[key] = lineno
         fp[key] = count
     return fp
 
 
 def save_fingerprint(fp: Fingerprint, path) -> None:
-    _write_text(path, fingerprint_to_text(fp))  # refuses before the file is made
+    textio.write_text(path, fingerprint_to_text(fp))  # refuses before the file is made
 
 
 def load_fingerprint(path) -> Fingerprint:
-    return _load(path, text_to_fingerprint)
+    return textio.load(path, text_to_fingerprint)

@@ -27,9 +27,11 @@ import threading
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
+
+from . import textio
+from .textio import GraphParseError
 
 TERMINAL = -1
 
@@ -69,19 +71,6 @@ class EdgeLabel(str, Enum):
     ALTERNATING = "A"
     NON_ALTERNATING = "N"
     TERMINATED = "T"
-
-
-class GraphParseError(ValueError):
-    """Raised for malformed ``.tg`` text; carries the offending position."""
-
-    def __init__(self, message, line=None, column=None):
-        where = ""
-        if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class InvalidGraphError(ValueError):
@@ -305,14 +294,9 @@ def edge_label(g: TextileGraph, i: int) -> EdgeLabel:
 
 
 # --- .tg text format -------------------------------------------------------
-#
-# Line-oriented, UTF-8:
+# Lines, comments and fields by the textio rule:
 #   crossings <n>
-#   <id> <next> <top> <opp>        exactly 4n lines, id running 0..4n-1
-# '#' starts a comment line, blank lines are ignored.  Lines end at LF,
-# CR LF or CR only: files are read untranslated, and the readers split
-# them.  Fields are separated by ASCII spaces and tabs.  The .fp and spec
-# readers share this rule.  next is -1 for a thread end.
+#   <id> <next> <top> <opp>        exactly 4n lines, id running 0..4n-1, next -1 at a thread end
 
 _FORMAT_COMMENT = "# weftprint graph format 1"
 
@@ -323,70 +307,6 @@ _FORMAT_COMMENT = "# weftprint graph format 1"
 # the line-by-line reader.
 _CANONICAL_HEADER = re.compile(rf"(?:{re.escape(_FORMAT_COMMENT)}\n)?crossings ([1-9][0-9]{{0,17}})\n")
 _SPACE, _LF, _MINUS, _ZERO, _ONE, _NINE = b" \n-019"
-_LINE_END = re.compile(r"\r\n?|\n")  # str.splitlines also breaks at FF, VT, NEL, U+2028
-_FIELD = re.compile(r"[^ \t]+")  # \S+ would also split at NBSP
-_DECIMAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike int()
-# A decimal, as in a distance-CSV cell: ASCII digits, or a nan/inf spelling for a range check to reject.
-_CELL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))")
-
-
-def _shown(text: str) -> str:
-    """``repr(text)`` for a message; past 40 characters, the first 20, ``…`` and the length."""
-    return repr(text) if len(text) <= 40 else f"{text[:20]!r}… ({len(text)} characters)"
-
-
-def _read_number(text: str, as_type: type, where: str):
-    """``text`` as an ``int`` or ``float`` spelled in ASCII, where ``int()`` alone takes ``1_0`` and ``٣``."""
-    rule, noun = (_DECIMAL, "an integer") if as_type is int else (_CELL, "a decimal number")
-    if not rule.fullmatch(text):
-        raise ValueError(f"{where}: {_shown(text)} is not {noun}")
-    try:
-        return as_type(text)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise ValueError(f"{where}: integer has too many digits: {len(text)}") from None
-
-
-def _load(path, parse, data=None):
-    """``parse`` of the UTF-8 text at ``path``, or of ``data``, its bytes read already, line ends as written.
-
-    A byte that is not UTF-8 is refused by path and offset, and a refusal by
-    ``parse`` names the file too, as an I/O error does.
-    """
-    if data is None:
-        data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from None
-    try:
-        return parse(text)
-    except ValueError as exc:  # a plain ValueError, which pickles as it is, out of a pool worker too
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _significant_lines(text):
-    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
-        stripped = raw.strip(" \t")
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw, stripped
-
-
-def _fields(raw):
-    """Space- and tab-separated tokens of a line, each with its 1-based column."""
-    return [(m.group(), m.start() + 1) for m in _FIELD.finditer(raw)]
-
-
-def _int_field(token, lineno, column, what):
-    try:
-        return _read_number(token, int, what)
-    except ValueError as exc:
-        raise GraphParseError(str(exc), lineno, column) from None
 
 
 def _parse_canonical(text):
@@ -436,16 +356,16 @@ def _parse_lines(text):
     The reference reader, and the one that reports syntax errors, with
     the line and column of the offending field.
     """
-    lines = list(_significant_lines(text))
+    lines = list(textio.significant_lines(text))
     if not lines:
         raise GraphParseError("empty graph file")
 
     lineno, raw, header = lines[0]
-    parts = _fields(raw)
+    parts = textio.fields(raw)
     if len(parts) != 2 or parts[0][0] != "crossings":
-        raise GraphParseError(f"expected 'crossings <n>' header, got {_shown(header)}", lineno)
+        raise GraphParseError(f"expected 'crossings <n>' header, got {textio.shown(header)}", lineno)
     count_token, count_col = parts[1]
-    n = _int_field(count_token, lineno, count_col, "crossing count")
+    n = textio.int_field(count_token, lineno, count_col, "crossing count")
     if n < 1:
         raise GraphParseError(f"crossing count must be >= 1, got {n}", lineno)
 
@@ -458,22 +378,22 @@ def _parse_lines(text):
     top = np.empty(size, dtype=np.bool_)
     opp = np.empty(size, dtype=np.int64)
     for expected, (lineno, raw, _) in enumerate(node_lines):
-        fields = _fields(raw)
+        fields = textio.fields(raw)
         if len(fields) != 4:
             raise GraphParseError(f"expected 4 fields '<id> <next> <top> <opp>', got {len(fields)}", lineno)
         (id_token, id_col), (next_token, next_col), (top_token, top_col), (opp_token, opp_col) = fields
-        node_id = _int_field(id_token, lineno, id_col, "node id")
+        node_id = textio.int_field(id_token, lineno, id_col, "node id")
         if node_id != expected:
             raise GraphParseError(f"node id {node_id} out of order, expected {expected}", lineno, id_col)
-        value = _int_field(next_token, lineno, next_col, "next index")
+        value = textio.int_field(next_token, lineno, next_col, "next index")
         if value != TERMINAL and not 0 <= value < size:
             raise GraphParseError(f"next index {value} out of range [-1, {size})", lineno, next_col)
         nxt[expected] = value
-        flag = _int_field(top_token, lineno, top_col, "top flag")
+        flag = textio.int_field(top_token, lineno, top_col, "top flag")
         if flag not in (0, 1):
             raise GraphParseError(f"top flag must be 0 or 1, got {flag}", lineno, top_col)
         top[expected] = bool(flag)
-        value = _int_field(opp_token, lineno, opp_col, "opposite index")
+        value = textio.int_field(opp_token, lineno, opp_col, "opposite index")
         if not 0 <= value < size:
             raise GraphParseError(f"opposite index {value} out of range [0, {size})", lineno, opp_col)
         opp[expected] = value
@@ -508,8 +428,8 @@ def serialize_graph(g: TextileGraph) -> str:
 
 
 def load_graph(path) -> TextileGraph:
-    return _load(path, parse_graph)
+    return textio.load(path, parse_graph)
 
 
 def save_graph(g: TextileGraph, path) -> None:
-    _write_text(path, serialize_graph(g))  # a graph that breaks the model is refused before the file is made
+    textio.write_text(path, serialize_graph(g))  # a graph that breaks the model is refused before the file is made

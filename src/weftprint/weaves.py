@@ -26,7 +26,8 @@ import weakref
 
 import numpy as np
 
-from .graph import TERMINAL, TextileGraph, _Frame, _read_number, _shown
+from . import textio
+from .graph import TERMINAL, TextileGraph, _Frame
 
 
 def _as_matrix(cells) -> np.ndarray:
@@ -36,15 +37,9 @@ def _as_matrix(cells) -> np.ndarray:
     return m
 
 
-def _number(value) -> str:
-    """``value`` as a range message echoes it: whole up to 40 characters, else cut as :func:`_shown` cuts text."""
-    text = str(value)
-    return text if len(text) <= 40 else _shown(text)
-
-
 def _check_dims(w, h):
     if w < 1 or h < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got w={_number(w)}, h={_number(h)}")
+        raise ValueError(f"grid dimensions must be >= 1, got w={textio.shown_number(w)}, h={textio.shown_number(h)}")
 
 
 def plain_weave(w: int, h: int) -> np.ndarray:
@@ -55,7 +50,7 @@ def twill_weave(over: int, under: int, w: int, h: int) -> np.ndarray:
     """m-over/n-under diagonal: row i is row 0 shifted right by i columns."""
     _check_dims(w, h)
     if over < 1 or under < 1:
-        raise ValueError(f"twill counts must be >= 1, got {_number(over)}/{_number(under)}")
+        raise ValueError(f"twill counts must be >= 1, got {textio.shown_number(over)}/{textio.shown_number(under)}")
     if over + under >= 2 ** 63:  # numpy's int64 arithmetic below would overflow
         raise ValueError("twill counts must sum to less than 2**63")
     i, j = np.indices((h, w))
@@ -70,11 +65,11 @@ def satin_weave(period: int, step: int, w: int, h: int) -> np.ndarray:
     """
     _check_dims(w, h)
     if period < 5:
-        raise ValueError(f"satin period must be >= 5, got {_number(period)}")
+        raise ValueError(f"satin period must be >= 5, got {textio.shown_number(period)}")
     if period >= 2 ** 63:  # as for twill
         raise ValueError("satin period must be less than 2**63")
     if not 1 < step < period - 1:
-        raise ValueError(f"satin step must satisfy 1 < step < period-1, got {_number(step)}")
+        raise ValueError(f"satin step must satisfy 1 < step < period-1, got {textio.shown_number(step)}")
     if math.gcd(step, period) != 1:
         raise ValueError(f"satin step {step} must be coprime with period {period}")
     offsets = np.array([i * step % period for i in range(h)])  # exact: i * step may pass int64
@@ -90,7 +85,7 @@ def random_weave(density: float, w: int, h: int, seed) -> np.ndarray:
     """Independent Bernoulli(density) cell coin from a seeded generator."""
     _check_dims(w, h)
     if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {_number(density)}")
+        raise ValueError(f"density must lie in [0, 1], got {textio.shown_number(density)}")
     rng = np.random.default_rng(seed)
     return rng.random((h, w)) < density
 
@@ -108,12 +103,12 @@ def mixed_weave(block: int, pool: int, w: int, h: int, pool_seed, choice_seed) -
     """
     _check_dims(w, h)
     if block < 1:
-        raise ValueError(f"block size must be >= 1, got {_number(block)}")
+        raise ValueError(f"block size must be >= 1, got {textio.shown_number(block)}")
     if pool < 1:
-        raise ValueError(f"motif pool size must be >= 1, got {_number(pool)}")
+        raise ValueError(f"motif pool size must be >= 1, got {textio.shown_number(pool)}")
     if pool * block * block > _MOTIF_CELLS:  # checked before the draw, which takes 8 bytes a cell
         raise ValueError(f"motif pool size times block area must be <= {_MOTIF_CELLS}, "
-                         f"got {_number(pool)} * {_number(block)}x{_number(block)}")
+                         f"got {textio.shown_number(pool)} * {textio.shown_number(block)}x{textio.shown_number(block)}")
     return _place_motifs(_motif_pool(block, pool, pool_seed), w, h, choice_seed)
 
 
@@ -162,15 +157,15 @@ def parse_kind(kind: str) -> tuple[str, list]:
     """
     m = _KIND_RE.fullmatch(kind)
     if not m:
-        raise ValueError(f"unparseable weave kind {_shown(kind)}")
+        raise ValueError(f"unparseable weave kind {textio.shown(kind)}")
     name, argtext = m.groups()
     if name not in _KINDS:
-        raise ValueError(f"unknown weave kind {_shown(name)}")
+        raise ValueError(f"unknown weave kind {textio.shown(name)}")
     args = [a.strip(" \t") for a in argtext.split(",")] if argtext else []
     types = _KINDS[name][0]
     if len(args) != len(types):
-        raise ValueError(f"weave kind {_shown(kind)} takes {len(types)} parameter(s), got {len(args)}")
-    return name, [_read_number(a, t, f"weave kind {_shown(kind)}") for a, t in zip(args, types)]
+        raise ValueError(f"weave kind {textio.shown(kind)} takes {len(types)} parameter(s), got {len(args)}")
+    return name, [textio.read_number(a, t, f"weave kind {textio.shown(kind)}") for a, t in zip(args, types)]
 
 
 def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:

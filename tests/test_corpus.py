@@ -14,7 +14,6 @@ import weftprint.weaves as weaves_module
 from weftprint.corpus import (
     CategorySpec,
     CorpusSpec,
-    corpus_to_text,
     generate_corpus,
     load_corpus,
     parse_corpus_spec,
@@ -39,6 +38,11 @@ def unshared_desk_corpus():
     """The desk corpus with a graph object of its own for each of its 180 items."""
     with mock.patch.object(weaves_module, "_GRAPHS", Unshared()):
         return generate_corpus(desk_scale_spec())
+
+
+def corpus_to_text(corpus) -> str:
+    """Single deterministic text dump of a corpus, for byte-level comparisons."""
+    return "".join(f"=== {item.id} {item.category}\n" + serialize_graph(item.graph) for item in corpus)
 
 
 def single_category(**overrides):

@@ -7,10 +7,11 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weftprint"
 
-# The layers run graph -> weaves -> corpus and graph -> fingerprint -> distance -> evaluation;
+# The layers run textio -> graph -> weaves -> corpus and textio -> graph -> fingerprint -> distance -> evaluation;
 # the two chains meet in pipeline, and cli sits on top.  Each module names the layers right below it.
 RESTS_ON = {
-    "graph": (),
+    "textio": (),
+    "graph": ("textio",),
     "weaves": ("graph",),
     "corpus": ("weaves",),
     "fingerprint": ("graph",),
@@ -55,3 +56,13 @@ def test_the_check_sees_every_spelling_of_an_import(tmp_path):
     source.write_text("import weftprint.cli\nfrom weftprint.corpus import x\nfrom weftprint import distance\n"
                       "from . import evaluation as e\ndef f():\n    from .fingerprint import y\n    from .graph.z import w\n")
     assert imported_modules(source) == {"cli", "corpus", "distance", "evaluation", "fingerprint", "graph"}
+
+
+def test_no_module_imports_a_private_name_from_graph():
+    # Text helpers live in textio; of graph's private names, only the thread frame that weaves builds on is shared.
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").removeprefix("weftprint.") == "graph":
+                imported |= {f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")}
+    assert imported == {"weaves: _Frame"}
