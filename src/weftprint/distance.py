@@ -184,6 +184,9 @@ class DistanceMatrix:
         values = np.array(self.values, dtype=np.float64)
         if values.shape != (len(self.ids), len(self.ids)):
             raise ValueError(f"distance matrix shape {values.shape} does not match {len(self.ids)} ids")
+        not_str = [i for i in self.ids if not isinstance(i, str)]
+        if not_str:  # the CSV spells every id as text, so only a str id reads back as itself
+            raise ValueError(f"distance matrix ids must be str, got {not_str[0]!r}")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("distance matrix ids must be unique")
         _refuse(self.ids, values, ~(np.isfinite(values) & (values >= 0)), "finite and >= 0")
@@ -241,7 +244,8 @@ def distance_matrix(
 def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None) -> np.ndarray:
     """The columnar kernel behind ``distance_matrix``.
 
-    Rows are ranked by (support size, index): that puts first the side
+    Rows stay in input order; only the posting lists and the loop see their
+    rank, by (support size, index): that puts first the side
     ``pair_distance(r, s)`` iterates, the smaller support and ``r`` on a
     tie.  Row ``a`` is paired with every later-ranked row through the
     posting lists of its own keys, in its own key order, so ``np.bincount``
@@ -251,31 +255,34 @@ def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None
     grows with the total support size, never with n times the vocabulary.
     """
     n = len(vectors)
-    order, indptr, cols, data, n_keys = _ranked_rows(vectors, metric, stats)
-    entry_row = np.repeat(np.arange(n), np.diff(indptr))
+    entry_row, cols, data, n_keys = _entries(vectors, metric, stats)
+    support = np.bincount(entry_row, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(support)))
+    order = np.argsort(support, kind="stable")
+    rank = np.argsort(order)  # each row's place in order
     squares = np.bincount(entry_row, weights=data * data, minlength=n)
     # every aggregate is bounded by a row's sum of squares (its support size under hbool): keep it float-exact
     if metric != "tfidf" and squares.max() >= 2.0**52:
         raise ValueError(f"counts too large for exact {metric} distances")
-    norms = np.sqrt(squares)  # bincount adds each row left to right, as _norm does
+    norms = np.sqrt(squares[order])  # bincount adds each row left to right, as _norm does
+    totals = np.bincount(entry_row, weights=data, minlength=n)[order]
 
-    # CSC copy: per key, the rows holding it in rank order, and each entry's slot there
-    by_col = np.argsort(cols, kind="stable")
-    col_rows = entry_row[by_col]
-    col_data = data[by_col]
+    # posting lists: per key, the ranks of the rows holding it in ascending order, and each entry's slot there
+    entry_rank = rank[entry_row]
+    by_key = np.argsort(cols * n + entry_rank)  # (key id, rank) is unique, so any sort gives this order
+    col_ranks = entry_rank[by_key]
+    col_data = data[by_key]
     col_end = np.cumsum(np.bincount(cols, minlength=n_keys))
-    slot = np.empty_like(by_col)
-    slot[by_col] = np.arange(by_col.size)
-
-    totals = np.bincount(entry_row, weights=data, minlength=n)
+    slot = np.empty_like(by_key)
+    slot[by_key] = np.arange(by_key.size)
 
     values = np.zeros((n, n), dtype=np.float64)
-    for r in range(n - 1):
-        lo, hi = indptr[r], indptr[r + 1]
-        starts = slot[lo:hi] + 1  # later-ranked rows follow row r in each posting list
+    for r, a in enumerate(order[:-1].tolist()):
+        lo, hi = indptr[a], indptr[a + 1]
+        starts = slot[lo:hi] + 1  # later-ranked rows follow row a in each posting list
         lengths = col_end[cols[lo:hi]] - starts
         take = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        partner = col_rows[take] - (r + 1)
+        partner = col_ranks[take] - (r + 1)
         m = n - r - 1
         mine, theirs = np.repeat(data[lo:hi], lengths), col_data[take]
         if metric in ("cosine", "tfidf"):
@@ -286,21 +293,19 @@ def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None
             if metric == "jaccard" and not union.all():
                 raise ValueError(_EMPTY_JACCARD)
             d = union - summin if metric in INTEGER_METRICS else 1.0 - summin / union
-        values[order[r], order[r + 1:]] = d
-        values[order[r + 1:], order[r]] = d
+        values[a, order[r + 1:]] = d
+        values[order[r + 1:], a] = d
     return values
 
 
-def _ranked_rows(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None):
-    """``(order, indptr, cols, data, key count)``: the kernel's float entries as CSR rows in rank order.
+def _entries(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None):
+    """``(entry_row, cols, data, key count)``: the kernel's float entries, row by row in input order.
 
     Each row keeps its own key order, and key ids are interned once.  Under
-    tfidf the entries are weighed as ``tfidf_weights`` weighs them before
-    the rows are ranked, so a dropped count leaves the support.  The key and
-    count lists built here are freed on return, before the kernel makes
-    its n x n result.
+    tfidf the entries are weighed as ``tfidf_weights`` weighs them, so a
+    dropped count leaves the support.  The key and count lists built here
+    are freed on return, before the kernel makes its n x n result.
     """
-    n = len(vectors)
     vocab: dict = {}
     keys: list[int] = []
     counts: list = []
@@ -309,7 +314,7 @@ def _ranked_rows(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | N
         counts.extend(v.values())
     cols = np.array(keys, dtype=np.int64)
     data = np.array(counts)
-    entry_row = np.repeat(np.arange(n), [len(v) for v in vectors])
+    entry_row = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
     if metric == "tfidf":
         cols, data, entry_row = _tfidf_entries(list(vocab), cols, data, entry_row, stats)
     elif metric == "hbool":  # hfreq over presence: each count's truth value, as hamming_bool_distance reads it
@@ -319,13 +324,7 @@ def _ranked_rows(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | N
         large = data.dtype.kind in "fO" and all(isinstance(c, int) for c in counts) and min(counts) >= 0
         raise ValueError(f"counts too large for exact {metric} distances" if large
                          else f"{metric} distance needs non-negative integer counts")
-    support = np.bincount(entry_row, minlength=n)
-    order = np.argsort(support, kind="stable")
-    sizes = support[order]
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    first = (np.cumsum(support) - support)[order]  # each ranked row's first entry, in input order
-    by_rank = np.repeat(first - indptr[:-1], sizes) + np.arange(indptr[-1])
-    return order, indptr, cols[by_rank], data[by_rank].astype(np.float64), len(vocab)
+    return entry_row, cols, data.astype(np.float64), len(vocab)
 
 
 def _tfidf_entries(terms: list, cols: np.ndarray, data: np.ndarray, entry_row: np.ndarray,

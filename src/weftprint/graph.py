@@ -89,17 +89,18 @@ class InvalidGraphError(ValueError):
 
 
 class _Frame:
-    """The read-only ``next_node`` and ``opposite`` arrays of one or more graphs, and their walk lists.
+    """The read-only ``next_node`` and ``opposite`` arrays of one or more graphs, their crc32 and walk lists.
 
     :func:`validate` of a graph on the frame must pass before the first
     :meth:`walk_lists`, which indexes the int table with the frame's ids.
     """
 
-    __slots__ = ("next_node", "opposite", "_lists", "__weakref__")
+    __slots__ = ("next_node", "opposite", "crc", "_lists", "__weakref__")
 
     def __init__(self, next_node: np.ndarray, opposite: np.ndarray):
         self.next_node = next_node
         self.opposite = opposite
+        self.crc = zlib.crc32(opposite, zlib.crc32(next_node))  # each graph's hash goes on over its on_top
         self._lists = None
 
     def walk_lists(self):
@@ -182,13 +183,9 @@ class TextileGraph:
         )
 
     def __hash__(self):
-        # crc32, not hash() of the bytes, which PYTHONHASHSEED salts: a graph
-        # pickled into another process carries its cached hash along.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = zlib.crc32(self.opposite, zlib.crc32(self.on_top, zlib.crc32(self.next_node)))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        # crc32, not hash() of the bytes, which PYTHONHASHSEED salts, so the
+        # hash is the same in every process; equal frames have equal crcs.
+        return zlib.crc32(self.on_top, self._frame.crc)
 
     def __repr__(self):
         return f"TextileGraph(crossings={self.crossing_count})"

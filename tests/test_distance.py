@@ -293,6 +293,13 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="^unknown metric 'euclid'"):
             pair_distance(R, S, "euclid")
 
+    def test_ids_must_be_str(self):
+        # a CSV reads every id back as text: (1, 2) would be saved as id,1,2 and load as ("1", "2")
+        with pytest.raises(ValueError, match="^distance matrix ids must be str, got 1$"):
+            distance_matrix([R, S], "hbool", ids=[1, 2])
+        with pytest.raises(ValueError, match=r"^distance matrix ids must be str, got b'b'$"):
+            DistanceMatrix(("a", b"b", None), np.zeros((3, 3)))
+
     @pytest.mark.parametrize("metric", ["jaccard", "hfreq", "cosine"])
     def test_counts_too_large_for_exact_sums_rejected(self, metric):
         big = Counter({"p": 2**26})  # a row's sum of squares reaches 2**52: sums may round

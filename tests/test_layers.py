@@ -66,3 +66,20 @@ def test_no_module_imports_a_private_name_from_graph():
             if isinstance(node, ast.ImportFrom) and (node.module or "").removeprefix("weftprint.") == "graph":
                 imported |= {f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")}
     assert imported == {"weaves: _Frame"}
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    # Every private name one package module imports from another is listed here, so a new crossing fails.
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "weftprint"):
+                module = (node.module or "").removeprefix("weftprint").lstrip(".")
+                imported |= {f"{path.stem}: {module}.{a.name}" for a in node.names if a.name.startswith("_")}
+    assert imported == {
+        "weaves: graph._Frame",
+        "cli: fingerprint._walk_each_once",
+        "pipeline: fingerprint._walk_each_once",
+        "corpus: weaves._motif_pool",
+        "corpus: weaves._place_motifs",
+    }
