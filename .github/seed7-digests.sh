@@ -6,11 +6,12 @@
 # study-desk runs twice: fingerprint --in DIR and distmatrix start one worker per
 # available CPU, and pinned to one CPU (taskset -c 0) they run serially, so the same
 # digests hold both routes to the same bytes.
-# The last two runs, study-desk and matrix-x3 at seed 11, which has no recorded digests,
-# check correctness only: sampled matrix cells, the written files against the in-memory
-# graphs and fingerprints, and equal outputs across passes. Both corpora repeat weave
-# matrices, so study-desk takes the pooled route for repeated files, and matrix-x3 the
-# in-memory route on graphs that equal matrices share, at a second seed.
+# The last three runs, study-desk, matrix-x3 and rescore-n999 at seed 11, which has no
+# recorded digests, check correctness only: sampled matrix cells, the written files against
+# the in-memory graphs and fingerprints, and equal outputs across passes. All three corpora
+# repeat weave matrices, so study-desk takes the pooled route for repeated files, matrix-x3
+# the in-memory route on graphs that equal matrices share, and rescore-n999 writes and reads
+# its two 999x999 CSVs through shared equal rows, at a second seed.
 # Each correct run prints its peak_rss_mb beside it, read from the run's last JSON line.
 # The script exits 1 at the first incorrect run and prints its report, whose FAILED
 # lines name each failed check.
@@ -18,7 +19,7 @@ cd "$(dirname "$0")/.." || exit 1
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -c 0" "study-desk 11" \
-    "matrix-x3 11"; do
+    "matrix-x3 11" "rescore-n999 11"; do
   read -r workload seed pin <<< "$run"  # pin: an optional command prefix
   $pin python perfbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 0 > "$log" || true
   if ! tail -n 1 "$log" \

@@ -374,7 +374,9 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     Each row is one ``%`` format of one matrix row: ``%d`` when
     ``dm.whole``, whatever the metric, which is exact at any size, else
     ``%.12g``, which is ``format(x, ".12g")``.  Rows are converted one at
-    a time, so no n*n list of Python objects is held.
+    a time, so no n*n list of Python objects is held.  A row whose bytes
+    equal an earlier row's reuses its text: equal floats would not do, as
+    ``%.12g`` writes ``-0.0`` as ``-0`` and ``0.0`` as ``0``.
     """
     quoted = []
     for row_id in dm.ids:
@@ -382,9 +384,15 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
         quoted.append(buf.getvalue()[:-3])
     fmt = (",%d" if dm.whole else ",%.12g") * len(quoted)
-    lines = [",".join(["id", *quoted]) + "\n"]
-    lines += [row_id + fmt % tuple(row.tolist()) + "\n" for row_id, row in zip(quoted, dm.values)]
-    return "".join(lines)
+    parts = [",".join(["id", *quoted]) + "\n"]
+    first: dict[int, int] = {}  # hash of a row's bytes: the first row with that hash
+    bodies = []
+    for i, row in enumerate(dm.values):
+        data = row.tobytes()
+        j = first.setdefault(hash(data), i)
+        bodies.append(bodies[j] if j < i and data == dm.values[j].tobytes() else fmt % tuple(row.tolist()) + "\n")
+        parts += (quoted[i], bodies[i])
+    return "".join(parts)
 
 
 def _csv_canonical(text: str):
@@ -394,6 +402,7 @@ def _csv_canonical(text: str):
     ids equal to the header's, and non-empty rows of cells made of digits,
     signs, points and exponents.  ``None`` only means "not plain": the
     caller then runs the csv reader, which accepts or rejects the text.
+    Each distinct row body is checked and parsed once, and shared by its rows.
     Cells of digits alone are read as int64, which is faster, then
     converted: both roundings are to nearest, so the floats are equal; a
     cell past int64 takes the float read, as does any sign, so ``-0``
@@ -408,11 +417,16 @@ def _csv_canonical(text: str):
         return None
     if len(max(lines, key=len)) >= csv.field_size_limit():
         return None
-    rows = [line.partition(",") for line in lines[1:]]
-    bodies = [body for _, _, body in rows]
-    if [row_id for row_id, _, _ in rows] != header[1:] or "" in bodies:
+    distinct: dict[str, int] = {}  # each row body, in first-seen order: its row in the parsed array
+    which = []
+    for want_id, line in zip(header[1:], lines[1:]):
+        row_id, _, body = line.partition(",")
+        if row_id != want_id:
+            return None
+        which.append(distinct.setdefault(body, len(distinct)))
+    if "" in distinct:
         return None
-    cells = ",".join(bodies)
+    cells = ",".join(distinct)
     if not cells.isascii():
         return None
     cells = cells.encode("ascii")
@@ -421,11 +435,12 @@ def _csv_canonical(text: str):
     whole = not cells.translate(None, b"0123456789,")
     for dtype in (np.int64, np.float64) if whole else (np.float64,):
         try:
-            values = np.loadtxt(bodies, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+            values = np.loadtxt(list(distinct), dtype=dtype, delimiter=",", comments=None, ndmin=2)
         except (ValueError, OverflowError):  # an empty cell, say, or past int64: numpy 1.24 may raise either
             continue
-        values = values.astype(np.float64, copy=False)
-        return (tuple(header[1:]), values) if values.shape == (n, n) else None
+        if values.shape != (len(distinct), n):
+            return None
+        return tuple(header[1:]), values.astype(np.float64, copy=False)[which]
     return None
 
 

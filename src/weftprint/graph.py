@@ -95,13 +95,18 @@ class _Frame:
     :meth:`walk_lists`, which indexes the int table with the frame's ids.
     """
 
-    __slots__ = ("next_node", "opposite", "crc", "_lists", "__weakref__")
+    __slots__ = ("next_node", "opposite", "_crc", "_lists", "__weakref__")
 
     def __init__(self, next_node: np.ndarray, opposite: np.ndarray):
         self.next_node = next_node
         self.opposite = opposite
-        self.crc = zlib.crc32(opposite, zlib.crc32(next_node))  # each graph's hash goes on over its on_top
-        self._lists = None
+        self._crc = self._lists = None
+
+    def crc(self) -> int:
+        """crc32 of ``next_node`` then ``opposite``, taken at the first graph hash, not at every parse."""
+        if self._crc is None:
+            self._crc = zlib.crc32(self.opposite, zlib.crc32(self.next_node))
+        return self._crc
 
     def walk_lists(self):
         """``next_node`` and ``opposite`` as lists of the shared int objects, built at the first call."""
@@ -185,7 +190,7 @@ class TextileGraph:
     def __hash__(self):
         # crc32, not hash() of the bytes, which PYTHONHASHSEED salts, so the
         # hash is the same in every process; equal frames have equal crcs.
-        return zlib.crc32(self.on_top, self._frame.crc)
+        return zlib.crc32(self.on_top, self._frame.crc())
 
     def __repr__(self):
         return f"TextileGraph(crossings={self.crossing_count})"

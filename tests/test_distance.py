@@ -543,6 +543,11 @@ def _field(text: str, quoting: str, is_id: bool) -> str:
     return text
 
 
+def repeats(n: int):
+    """Index vectors of length ``n`` into ``range(n)``: the identity, or any, so that rows repeat."""
+    return st.just(list(range(n))) | st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+
+
 @st.composite
 def distance_csv_texts(draw):
     """Distance CSV text, plainly written and then mutated in ways the csv reader tolerates or not.
@@ -551,10 +556,12 @@ def distance_csv_texts(draw):
     """
     n = draw(st.integers(1, 4))
     ids = draw(st.lists(st.sampled_from([f"g{i}" for i in range(6)] + ODD_IDS), min_size=n, max_size=n))
-    cells = [[""] * n for _ in range(n)]
+    small = [[""] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            cells[i][j] = cells[j][i] = draw(st.sampled_from(PLAIN_CELLS))
+            small[i][j] = small[j][i] = draw(st.sampled_from(PLAIN_CELLS))
+    u = draw(repeats(n))
+    cells = [[small[a][b] for b in u] for a in u]  # small[u][:, u]: rows u[i] and u[j] are equal where u repeats
     rows = [["id", *ids]] + [[row_id, *row] for row_id, row in zip(ids, cells)]
     for edit in draw(st.lists(st.sampled_from(EDITS), max_size=3)):
         row = rows[draw(st.integers(1, len(rows) - 1))] if len(rows) > 1 else rows[0]
@@ -618,6 +625,14 @@ class TestCsvFastPath:
         want_ids, want = distance._csv_rows(text)
         assert (fast_ids, values.dtype, values.tobytes()) == (want_ids, want.dtype, want.tobytes())
 
+    @pytest.mark.parametrize("half", ["1", "0.5"])
+    def test_equal_bodies_around_another_read_back_in_input_order(self, half):
+        text = f"id,a,b,c\na,0,{half},0\nb,{half},0,{half}\nc,0,{half},0\n"
+        ids, values = distance._csv_canonical(text)
+        want = [[0, float(half), 0], [float(half), 0, float(half)], [0, float(half), 0]]
+        assert (ids, values.tolist()) == (("a", "b", "c"), want)
+        assert values.tobytes() == distance._csv_rows(text)[1].tobytes()
+
 
 WRITER_IDS = ["g0", "g1", "g2", "id", "", " a", "a b", "x,y", 'q"t', "a\rb", "a\nb", "\u0663", "\u00e9t\u00e9"]
 WRITER_CELLS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 1 / 3, 0.5, 1.5, 2.5, 1e16,
@@ -638,6 +653,8 @@ def distance_matrix_parts(draw):
                      st.floats(0, 2.0**64), st.floats(allow_nan=False, allow_infinity=False))
     cells = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n)), dtype=np.float64).reshape(n, n)
     cells = np.where(np.triu(np.ones((n, n), dtype=bool)), cells, cells.T)  # keeps -0.0 and nan bits
+    u = np.array(draw(repeats(n)), dtype=np.intp)
+    cells = cells[u][:, u]  # still symmetric, with equal rows where u repeats
     metric = draw(st.sampled_from(METRICS + ("",)))
     if metric in INTEGER_METRICS:
         cells = np.trunc(cells)
@@ -667,4 +684,10 @@ class TestCsvFastWriter:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the writer may not warn either
             written = distance_matrix_to_csv(dm)
+        assert written == csv_written(dm)
+
+    def test_rows_that_differ_only_in_the_sign_of_zero_are_written_apart(self):
+        dm = DistanceMatrix(("a", "b", "c"), [[0.0, 0.0, 0.5], [0.0, -0.0, 0.5], [0.5, 0.5, 0.0]], "jaccard")
+        written = distance_matrix_to_csv(dm)
+        assert written.splitlines()[1:3] == ["a,0,0,0.5", "b,0,-0,0.5"]  # equal floats, different bytes
         assert written == csv_written(dm)

@@ -4,8 +4,10 @@ import re
 import subprocess
 import sys
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -714,6 +716,17 @@ def test_graph_hash_is_the_same_in_every_process():
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")]
     assert outs == [f"{hash(grid_to_graph(cells))}\n"] * 2
+
+
+def test_parse_takes_no_crc_and_the_first_hash_takes_the_same_one():
+    text = serialize_graph(grid_to_graph(random_weave(0.5, 7, 5, 3)))
+    with mock.patch.object(graph_module.zlib, "crc32", wraps=zlib.crc32) as crc32:
+        g = parse_graph(text)
+        assert crc32.call_count == 0  # nothing on the CLI path hashes a parsed graph
+        h = hash(g)
+        assert crc32.call_count == 3
+        assert hash(g) == h and crc32.call_count == 4  # the frame's crc is kept; on_top's is not
+    assert h == zlib.crc32(g.on_top, zlib.crc32(g.opposite, zlib.crc32(g.next_node)))
 
 
 @settings(max_examples=40, deadline=None)
