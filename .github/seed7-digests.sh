@@ -12,7 +12,8 @@
 # repeat weave matrices, so study-desk takes the pooled route for repeated files, matrix-x3
 # the in-memory route on graphs that equal matrices share, and rescore-n999 writes and reads
 # its two 999x999 CSVs through shared equal rows, at a second seed.
-# Each correct run prints its peak_rss_mb beside it, read from the run's last JSON line.
+# Each correct run prints its pass_s and peak_rss_mb beside it, read from the run's last JSON
+# line, so a log shows where pass time and memory move.
 # The script exits 1 at the first incorrect run and prints its report, whose FAILED
 # lines name each failed check.
 cd "$(dirname "$0")/.." || exit 1
@@ -27,6 +28,7 @@ for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -
     cat "$log"
     exit 1
   fi
-  rss=$(tail -n 1 "$log" | python -c 'import json, sys; print(json.loads(sys.stdin.read())["metrics"]["peak_rss_mb"]["value"])')
-  echo "seed $seed, $workload${pin:+ $pin}: correct, peak_rss_mb $rss"
+  metrics=$(tail -n 1 "$log" | python -c 'import json, sys; m = json.loads(sys.stdin.read())["metrics"]
+print("pass_s %s, peak_rss_mb %s" % (m["pass_s"]["value"], m["peak_rss_mb"]["value"]))')
+  echo "seed $seed, $workload${pin:+ $pin}: correct, $metrics"
 done

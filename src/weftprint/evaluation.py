@@ -79,38 +79,52 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
     keeps the smaller one.  Mean pairwise distances are maintained
     incrementally as size-weighted averages, equal to the from-scratch
     mean up to rounding.  Ties between equal stored means resolve to the
-    smallest (rep_i, rep_j) pair.  Each row's minimum is cached, so a
-    merge costs O(n) plus a rescan of the rows whose minimum it moved.
+    smallest (rep_i, rep_j) pair.
+
+    Each row's minimum and the first column holding it are cached, so a
+    merge costs O(live clusters) plus a rescan of the rows whose minimum
+    sat in column i or j and whose new column-i value exceeds it.  If
+    that value is at most the minimum, every other column holds at least
+    the minimum, no column before the cached one held it and ``i < j``,
+    so column i is now the first column holding the row's minimum, as the
+    fold records.  When the live clusters fall to half the array's rows,
+    their rows and columns move to a smaller array in ascending original
+    index, which keeps the tie rule.
     """
     n = len(dm.ids)
     d = np.array(dm.values, dtype=np.float64)
     np.fill_diagonal(d, np.inf)
     sizes = np.ones(n)
+    live = np.arange(n)  # the original index of each row
     # Each row's minimum and the first column holding it; a merged-away
     # row keeps (inf, -1), which no later update touches.
     low = d.min(axis=1, initial=np.inf)
     arg = d.argmin(axis=1) if n else np.empty(0, dtype=np.intp)
     merges = []
-    for _ in range(n - 1):
+    for count in range(n, 1, -1):  # live clusters before this merge
+        if 2 * count <= len(d):
+            keep = np.flatnonzero(sizes)
+            d, sizes, low, live = d[np.ix_(keep, keep)], sizes[keep], low[keep], live[keep]
+            arg = np.searchsorted(keep, arg[keep])
         # The first row holding the smallest minimum, at its first column:
         # the row-major first minimum, so the smallest (i, j) among ties.
         i = int(np.argmin(low))
         j = int(arg[i])
-        merges.append((i, j, float(d[i, j])))
+        merges.append((int(live[i]), int(live[j]), float(d[i, j])))
         wi, wj = sizes[i], sizes[j]
         d[i] = d[:, i] = (wi * d[i] + wj * d[j]) / (wi + wj)
         d[i, i] = d[j] = d[:, j] = np.inf
-        sizes[i] = wi + wj
-        # Rows whose minimum sat in column i or j must rescan (row i among
-        # them, as arg[i] == j); every other row only meets the new column i.
-        stale = np.flatnonzero((arg == i) | (arg == j))
+        sizes[i], sizes[j] = wi + wj, 0.0
+        low[j], arg[j] = np.inf, -1
+        # Row i is stale (arg[i] == j and col[i] is inf); every row not
+        # stale only meets the new column i.
         col = d[i]
+        stale = np.flatnonzero(((arg == i) | (arg == j)) & (col > low))
         fold = (col < low) | ((col == low) & (i < arg))
         low[fold] = col[fold]
         arg[fold] = i
         arg[stale] = d[stale].argmin(axis=1)
         low[stale] = d[stale, arg[stale]]
-        low[j], arg[j] = np.inf, -1
     return merges
 
 
@@ -179,32 +193,29 @@ def pair_scores(predicted: Partition, truth: Partition) -> ClusterScores:
     return ClusterScores(confusion, ri, precision, recall, f)
 
 
-def _rankings(dm: DistanceMatrix, queries):
-    """Yield ``(q, order)``: the other matrix indices nearest first, ties on ascending id."""
-    n = len(dm.ids)
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=dm.ids.__getitem__)] = np.arange(n)
-    for q in queries:
-        order = np.lexsort((id_rank, dm.values[q]))
-        yield q, order[order != q]
+def _id_rank(ids: Sequence[str]) -> np.ndarray:
+    """Each index's place in ascending id order: the key that breaks ranking ties."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def rank_for_query(dm: DistanceMatrix, query: str) -> list[str]:
     """All other ids, nearest first; ties break on ascending id."""
     if len(dm.ids) < 2:
         raise ValueError("ranking needs at least two items")
-    _, order = next(_rankings(dm, [dm.index_of(query)]))
-    return [dm.ids[i] for i in order.tolist()]
+    q = dm.index_of(query)
+    order = np.lexsort((_id_rank(dm.ids), dm.values[q]))
+    return [dm.ids[i] for i in order.tolist() if i != q]
 
 
-def _precision(hit: np.ndarray, m: int):
-    """Hits and precision after each rank, and the average precision over ``m`` relevant items.
+def _hit_precision(ranks: np.ndarray, m: int):
+    """Precision ``k / rank`` at the k-th relevant item (last axis) and the average precision over ``m``.
 
     ``np.cumsum`` adds left to right, so every sum is that of a plain loop.
     """
-    hits = np.cumsum(hit)
-    precision = hits / np.arange(1, len(hit) + 1)
-    return hits, precision, float(np.cumsum(precision[hit])[-1] / m)
+    precision = np.arange(1, ranks.shape[-1] + 1) / ranks
+    return precision, np.cumsum(precision, axis=-1)[..., -1] / m
 
 
 def average_precision(ranked: Sequence[str], relevant) -> float:
@@ -215,7 +226,8 @@ def average_precision(ranked: Sequence[str], relevant) -> float:
     missing = relevant - set(ranked)
     if missing:
         raise ValueError(f"relevant items missing from the ranking: {sorted(missing)[:3]}")
-    return _precision(np.array([item in relevant for item in ranked]), len(relevant))[2]
+    ranks = np.flatnonzero([item in relevant for item in ranked]) + 1
+    return float(_hit_precision(ranks, len(relevant))[1])
 
 
 def map_score(dm: DistanceMatrix, labels: Mapping[str, str]) -> float:
@@ -242,40 +254,53 @@ class RetrievalCurves:
 
 
 def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> RetrievalCurves:
-    """Average the per-query interpolated precision and F over 11 recall levels."""
+    """Average the per-query interpolated precision and F over 11 recall levels.
+
+    Queries are ranked one category block at a time: one ``np.lexsort`` of
+    the block's rows on (distance, id rank) gives each item's place, and
+    only the places of the block's members are read.  With the query's own
+    place dropped, the k-th relevant item has rank ``r = place + (place <
+    own)`` and precision ``k / r``, the same division as at that rank of
+    the full ranking.  Interpolated precision at a level is the best of
+    these precisions from the first relevant item whose recall reaches
+    it.  Per-query rows are kept in query order and summed left to right.
+    """
     if set(labels) != set(dm.ids):
         raise ValueError("labels cover a different id set than the distance matrix")
+    n = len(dm.ids)
     codes: dict[str, int] = {}
-    category = np.array([codes.setdefault(labels[item], len(codes)) for item in dm.ids])
-    precision_sum = np.zeros(len(RECALL_LEVELS))
-    f_sum = np.zeros(len(RECALL_LEVELS))
-    ap_sum = 0.0
-    n_queries = 0
-    for q, order in _rankings(dm, range(len(dm.ids))):
-        hit = category[order] == category[q]
-        m = int(hit.sum())
-        if not m:
-            query = dm.ids[q]
-            warnings.warn(f"category {labels[query]!r} has a single member; query {query!r} skipped")
-            continue
-        hits, precision, ap = _precision(hit, m)
-        # Best precision at any recall >= level: running max from the right.
-        best_from_right = np.maximum.accumulate(precision[::-1])[::-1]
-        first_at_level = np.searchsorted(hits / m, RECALL_LEVELS, side="left")
-        interp_p = best_from_right[first_at_level]
-        # interp_p > 0 at every level: at level 0 it is the best precision, which m >= 1 makes positive
-        interp_f = 2 * interp_p * RECALL_LEVELS / (interp_p + RECALL_LEVELS)
-        precision_sum += interp_p
-        f_sum += interp_f
-        ap_sum += ap
-        n_queries += 1
-    if n_queries == 0:
+    category = np.array([codes.setdefault(labels[item], len(codes)) for item in dm.ids], dtype=np.intp)
+    size = np.bincount(category, minlength=len(codes))[category]
+    for query in (dm.ids[q] for q in np.flatnonzero(size == 1).tolist()):
+        warnings.warn(f"category {labels[query]!r} has a single member; query {query!r} skipped")
+    queries = np.flatnonzero(size > 1)
+    if not len(queries):
         raise ValueError("no query has a relevant item")
+    id_rank = _id_rank(dm.ids)
+    interp_p = np.empty((n, len(RECALL_LEVELS)))
+    ap = np.empty(n)
+    for c in np.unique(category[queries]).tolist():
+        members = np.flatnonzero(category == c)
+        s, m = len(members), len(members) - 1
+        rows = dm.values[members]
+        order = np.lexsort((np.broadcast_to(id_rank, rows.shape), rows))
+        place = np.empty_like(order)
+        place[np.arange(s)[:, None], order] = np.arange(n)
+        own = place[np.arange(s), members][:, None]
+        places = np.sort(place[:, members], axis=1)
+        places = places[places != own].reshape(s, m)
+        precision, ap[members] = _hit_precision(places + (places < own), m)
+        # Best precision at any recall >= level: running max from the right.
+        best_from_right = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+        interp_p[members] = best_from_right[:, np.searchsorted(np.arange(1, s) / m, RECALL_LEVELS)]
+    interp_p, ap = interp_p[queries], ap[queries]
+    # interp_p > 0 at every level: at level 0 it is the best precision, which m >= 1 makes positive
+    interp_f = 2 * interp_p * RECALL_LEVELS / (interp_p + RECALL_LEVELS)
     return RetrievalCurves(
         recall_levels=RECALL_LEVELS.copy(),
-        avg_precision=precision_sum / n_queries,
-        avg_f_measure=f_sum / n_queries,
-        map=ap_sum / n_queries,
+        avg_precision=np.cumsum(interp_p, axis=0)[-1] / len(queries),
+        avg_f_measure=np.cumsum(interp_f, axis=0)[-1] / len(queries),
+        map=float(np.cumsum(ap)[-1] / len(queries)),
     )
 
 

@@ -12,13 +12,15 @@ The corpus-spec oracle reads through ``configparser``.  The arm-code
 oracle peels one base-4 digit per ``divmod``.  The mosaic oracle draws
 one motif at a time and stacks the picked blocks.  The canonical ``.tg``
 oracles are one backtracking regex plus ``np.fromstring`` for reading and
-one ``%``-format over every field for writing.
+one ``%``-format over every field for writing.  The per-query retrieval
+oracle sorts each query's whole row and reads precision at every rank.
 """
 
 import configparser
 import csv
 import io
 import re
+import warnings
 from itertools import combinations
 
 from statistics import fmean
@@ -26,6 +28,7 @@ from statistics import fmean
 import numpy as np
 
 from weftprint.corpus import CategorySpec, CorpusSpec
+from weftprint.evaluation import RECALL_LEVELS, RetrievalCurves
 from weftprint.fingerprint import PAD
 from weftprint.graph import _FORMAT_COMMENT, TERMINAL
 
@@ -362,6 +365,54 @@ def naive_curves(dm, labels, levels):
     n = len(precision_rows)
     avg = lambda rows: [left_sum(col) / n for col in zip(*rows)]
     return avg(precision_rows), avg(f_rows), left_sum(aps) / n
+
+
+def query_loop_curves(dm, labels):
+    """``interpolated_curves`` as one full ranking per query, in a loop over queries.
+
+    Each query's row is sorted whole by (distance, id rank); precision is
+    taken at every rank and sums run left to right, so the curves must
+    agree bit for bit.
+    """
+    if set(labels) != set(dm.ids):
+        raise ValueError("labels cover a different id set than the distance matrix")
+    n = len(dm.ids)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=dm.ids.__getitem__)] = np.arange(n)
+    codes = {}
+    category = np.array([codes.setdefault(labels[item], len(codes)) for item in dm.ids])
+    precision_sum = np.zeros(len(RECALL_LEVELS))
+    f_sum = np.zeros(len(RECALL_LEVELS))
+    ap_sum = 0.0
+    n_queries = 0
+    for q in range(n):
+        order = np.lexsort((id_rank, dm.values[q]))
+        order = order[order != q]
+        hit = category[order] == category[q]
+        m = int(hit.sum())
+        if not m:
+            query = dm.ids[q]
+            warnings.warn(f"category {labels[query]!r} has a single member; query {query!r} skipped")
+            continue
+        hits = np.cumsum(hit)
+        precision = hits / np.arange(1, len(hit) + 1)
+        ap = float(np.cumsum(precision[hit])[-1] / m)
+        best_from_right = np.maximum.accumulate(precision[::-1])[::-1]
+        first_at_level = np.searchsorted(hits / m, RECALL_LEVELS, side="left")
+        interp_p = best_from_right[first_at_level]
+        interp_f = 2 * interp_p * RECALL_LEVELS / (interp_p + RECALL_LEVELS)
+        precision_sum += interp_p
+        f_sum += interp_f
+        ap_sum += ap
+        n_queries += 1
+    if n_queries == 0:
+        raise ValueError("no query has a relevant item")
+    return RetrievalCurves(
+        recall_levels=RECALL_LEVELS.copy(),
+        avg_precision=precision_sum / n_queries,
+        avg_f_measure=f_sum / n_queries,
+        map=ap_sum / n_queries,
+    )
 
 
 def format_distance(x, whole):

@@ -28,6 +28,7 @@ from oracles import (
     naive_pair_scores,
     naive_rank,
     naive_upgma_merges,
+    query_loop_curves,
 )
 
 
@@ -387,6 +388,57 @@ class TestAgainstOracles:
 
 
 @st.composite
+def duplicate_item_matrices(draw):
+    """Matrices ``small[u][:, u]`` over an index vector ``u`` with repeats, up to 40 items.
+
+    Items of equal index are equal rows at distance 0, as repeated or
+    transformed samples make them in an archive; 40 items let UPGMA
+    compact its live set several times.  Ids are shuffled.
+    """
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = rng.random((k, k)) if draw(st.booleans()) else rng.integers(0, 3, (k, k)).astype(float)
+    small = np.triu(small, 1) + np.triu(small, 1).T
+    u = rng.integers(0, k, draw(st.integers(1, 40)))
+    ids = draw(st.permutations([f"g{i}" for i in range(len(u))]))
+    labels = {item: f"c{draw(st.integers(0, 3))}" for item in ids}
+    return DistanceMatrix(tuple(ids), small[u][:, u]), labels
+
+
+class TestDuplicateItems:
+    @settings(max_examples=150, deadline=None)
+    @given(duplicate_item_matrices())
+    def test_upgma_merges(self, case):
+        dm, _ = case
+        assert upgma_merges(dm) == loop_upgma_merges(dm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(duplicate_item_matrices())
+    def test_curves(self, case):
+        dm, labels = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if all(list(labels.values()).count(c) == 1 for c in labels.values()):
+                with pytest.raises(ValueError, match="no query"):
+                    interpolated_curves(dm, labels)
+                return
+            curves = interpolated_curves(dm, labels)
+        ref_p, ref_f, ref_map = naive_curves(dm, labels, curves.recall_levels.tolist())
+        assert (curves.avg_precision.tolist(), curves.avg_f_measure.tolist(), curves.map) == (ref_p, ref_f, ref_map)
+
+
+@pytest.mark.parametrize("key", [("jaccard", 4), ("hbool", 4), ("cosine", 4), ("jaccard", 6)],
+                         ids=lambda key: f"{key[0]}-k{key[1]}")
+def test_desk_scale_matches_loop_oracles(desk_matrices, desk_labels, key):
+    dm = desk_matrices[key]
+    assert upgma_merges(dm) == loop_upgma_merges(dm)
+    curves = interpolated_curves(dm, desk_labels)
+    reference = query_loop_curves(dm, desk_labels)
+    assert (curves.avg_precision.tolist(), curves.avg_f_measure.tolist(), curves.map) == (
+        reference.avg_precision.tolist(), reference.avg_f_measure.tolist(), reference.map)
+
+
+@st.composite
 def tie_heavy_matrices(draw):
     """Symmetric matrices of the integers 0-2, up to 40 items: most minima tie."""
     n = draw(st.integers(1, 40))
@@ -431,6 +483,18 @@ class TestCachedRowMinima:
         merges = upgma_merges(dm)
         assert merges == loop_upgma_merges(dm)
         assert [(i, j) for i, j, _ in merges] == [(0, 3), (1, 4), (0, 1), (0, 2)]
+
+    def test_row_whose_minimum_rose_rescans(self):
+        # Row 3 caches its minimum 0.1 in column 0.  Merging (0, 1) keeps
+        # it at 0.1, but merging the pair with 2 stores (2*0.1 + 0.1)/3 =
+        # 0.10000000000000002 there: row 3 must rescan and find column 4,
+        # which still holds 0.1.
+        assert (2 * 0.1 + 0.1) / 3 == 0.10000000000000002
+        dm = matrix("abcde", [[0, 0, 0.05, 0.1, 0.9], [0, 0, 0.05, 0.1, 0.9], [0.05, 0.05, 0, 0.1, 0.9],
+                              [0.1, 0.1, 0.1, 0, 0.1], [0.9, 0.9, 0.9, 0.1, 0]])
+        merges = upgma_merges(dm)
+        assert merges == loop_upgma_merges(dm)
+        assert merges[:3] == [(0, 1, 0.0), (0, 2, 0.05), (3, 4, 0.1)]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_distance_rejected(self, bad):
