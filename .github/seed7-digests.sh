@@ -9,11 +9,13 @@
 # The last three runs, study-desk, matrix-x3 and rescore-n999 at seed 11, which has no
 # recorded digests, check correctness only: sampled matrix cells, the written files against
 # the in-memory graphs and fingerprints, and equal outputs across passes. All three corpora
-# repeat weave matrices, so study-desk takes the pooled route for repeated files, matrix-x3
-# the in-memory route on graphs that equal matrices share, and rescore-n999 writes and reads
-# its two 999x999 CSVs through shared equal rows, at a second seed.
-# Each correct run prints its pass_s and peak_rss_mb beside it, read from the run's last JSON
-# line, so a log shows where pass time and memory move.
+# repeat weave matrices. On study-desk the CLI keeps one copy of each distinct .tg file,
+# walks it once, and the repeats share that one fingerprint; fingerprint --in DIR formats
+# each distinct .fp text once. matrix-x3 takes the in-memory route, which walks each
+# distinct graph once, and rescore-n999 writes and reads its two 999x999 CSVs through
+# shared equal rows, at a second seed.
+# Each correct run prints its setup_s, pass_s and peak_rss_mb beside it, read from the run's
+# last JSON line, so a log shows where set-up time, pass time and memory move.
 # The script exits 1 at the first incorrect run and prints its report, whose FAILED
 # lines name each failed check.
 cd "$(dirname "$0")/.." || exit 1
@@ -29,6 +31,6 @@ for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -
     exit 1
   fi
   metrics=$(tail -n 1 "$log" | python -c 'import json, sys; m = json.loads(sys.stdin.read())["metrics"]
-print("pass_s %s, peak_rss_mb %s" % (m["pass_s"]["value"], m["peak_rss_mb"]["value"]))')
+print("setup_s %s, pass_s %s, peak_rss_mb %s" % tuple(m[k]["value"] for k in ("setup_s", "pass_s", "peak_rss_mb")))')
   echo "seed $seed, $workload${pin:+ $pin}: correct, $metrics"
 done

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import distance as distance_mod
 from . import evaluation as eval_mod
-from .fingerprint import Fingerprint, _walk_each_once, fingerprint, save_fingerprint
+from .fingerprint import Fingerprint, fingerprint, fingerprint_to_text, save_fingerprint
 from . import textio
 from .graph import parse_graph
 
@@ -111,27 +111,29 @@ def _fingerprint_file(file, k) -> Fingerprint:
     return fingerprint(textio.load(path, parse_graph, data), k)
 
 
-def _fingerprint_files(paths, k) -> list[Fingerprint]:
-    """Fingerprints of the ``.tg`` files at ``paths``, in order, one worker per available CPU.
+def _fingerprint_files(paths, k) -> tuple[list[Fingerprint], list[int]]:
+    """The distinct fingerprints of the ``.tg`` files at ``paths``, and each path's index into them.
 
-    The parent reads each file once; each distinct text goes to a worker, with
-    the first path that holds it, and only a ``Counter`` comes back.  Pickling
-    keeps its key order, and a repeated text gets a copy of its first's, so
-    every output is the same as from one serial walk per file.  Either way the
+    The parent reads each file once and keeps one copy of each distinct
+    text, with the first path that holds it, for :func:`_fingerprint_texts`
+    to walk; equal files share that one ``Counter``.  Pooled or serial, the
     error raised is the first failure in input order.
     """
-    files, unread = [], None
+    files, at, which, unread = [], {}, [], None
     for path in paths:
         try:
-            files.append((path, Path(path).read_bytes()))
+            data = Path(path).read_bytes()
         except OSError as exc:  # raised once the files before it are known to be good
             unread = exc
             break
-    fps = _walk_each_once((data for _, data in files),
-                          lambda firsts: _fingerprint_texts([files[i] for i in firsts], k))
+        if data not in at:
+            at[data] = len(files)
+            files.append((path, data))
+        which.append(at[data])
+    fps = _fingerprint_texts(files, k)
     if unread is not None:
         raise unread
-    return fps
+    return fps, which
 
 
 def _fingerprint_texts(files, k) -> list[Fingerprint]:
@@ -165,21 +167,23 @@ def _cmd_fingerprint(args) -> int:
         paths = sorted(src.glob("*.tg"))
         if not paths:
             raise ValueError(f"no .tg files found in {src}")
-        fps = _fingerprint_files(paths, args.k)
+        fps, which = _fingerprint_files(paths, args.k)
+        texts = [fingerprint_to_text(fp) for fp in fps]  # each distinct text once, before any file is made
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path, fp in zip(paths, fps):
-            save_fingerprint(fp, out_dir / (path.stem + ".fp"))
+        for path, i in zip(paths, which):
+            textio.write_text(out_dir / (path.stem + ".fp"), texts[i])
         print(f"wrote {len(paths)} fingerprints to {out_dir}")
     else:
-        save_fingerprint(_fingerprint_files([src], args.k)[0], args.out)
+        fps, _ = _fingerprint_files([src], args.k)
+        save_fingerprint(fps[0], args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_distmatrix(args) -> int:
     rows = corpus_mod.read_manifest(args.manifest)
-    fps = _fingerprint_files([r[1] for r in rows], args.k)
-    dm = distance_mod.distance_matrix(fps, args.metric, ids=[r[0] for r in rows])
+    fps, which = _fingerprint_files([r[1] for r in rows], args.k)
+    dm = distance_mod.distance_matrix([fps[i] for i in which], args.metric, ids=[r[0] for r in rows])
     distance_mod.save_distance_matrix(dm, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -229,7 +233,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("--repeats must be >= 1")
     corpus = corpus_mod.generate_corpus(spec)
     for item in corpus:
-        item.graph._thread_arrays()  # exclude one-time array conversion from timings
+        fingerprint(item.graph, 1)  # warm the cached arrays, so no timing holds their one-time conversion
 
     ids = [item.id for item in corpus]
 

@@ -204,22 +204,6 @@ def _decode_arm(arm: int) -> str:
     return "".join([_LABEL_CHARS[int(bits[i:i + 2], 2)] for i in range(0, len(bits), 2)])
 
 
-def _walk_each_once(keys, walk) -> list[Fingerprint]:
-    """One fingerprint per key, where ``walk`` runs once, over the first position of each distinct key.
-
-    ``walk`` takes those positions in input order and returns their
-    fingerprints in that order.  Each repeat gets its own ``Counter`` copy
-    of its first's, with equal items in equal key order.  Equal keys must
-    mean equal fingerprints, or equal errors: a key fails at its first
-    position, so the error raised is that of the first failing position.
-    ``keys`` may be a generator; only the distinct keys are kept.
-    """
-    first: dict = {}
-    at = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    walked = dict(zip(first.values(), walk(list(first.values()))))
-    return [walked[j] if i == j else Counter(walked[j]) for i, j in enumerate(at)]
-
-
 # --- .fp text format -------------------------------------------------------
 #
 # One line per neighborhood, '<key> <count>', lines sorted by key.  Key

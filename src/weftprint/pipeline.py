@@ -7,6 +7,7 @@ reports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import CorpusItem, CorpusSpec, generate_corpus
@@ -19,7 +20,7 @@ from .evaluation import (
     pair_scores,
     upgma_cluster,
 )
-from .fingerprint import _walk_each_once, fingerprint
+from .fingerprint import fingerprint
 
 
 @dataclass(frozen=True)
@@ -49,14 +50,19 @@ class EvalReport:
 def corpus_fingerprints(corpus: list[CorpusItem], k: int):
     """Ids and fingerprints of ``corpus``, in order, as ``fingerprint`` gives them one graph at a time.
 
-    Graphs are hashable by content, with the same hash in every process, so
-    each distinct graph is walked once in the call; a repeat gets its own
-    copy of the first's fingerprint, so it builds no walk lists.
+    Graphs are hashable by content, so each distinct graph is walked once, at
+    its first position, where a broken one raises; a repeat gets its own
+    ``Counter`` copy of the first's fingerprint, so it builds no walk lists.
     """
-    ids = [item.id for item in corpus]
-    graphs = [item.graph for item in corpus]
-    fps = _walk_each_once(graphs, lambda firsts: [fingerprint(graphs[i], k) for i in firsts])
-    return ids, fps
+    fps, walked = [], {}
+    for item in corpus:
+        first = walked.get(item.graph)
+        if first is None:
+            walked[item.graph] = first = fingerprint(item.graph, k)
+            fps.append(first)
+        else:
+            fps.append(Counter(first))
+    return [item.id for item in corpus], fps
 
 
 def corpus_distance_matrix(corpus: list[CorpusItem], k: int, metric: str) -> DistanceMatrix:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 from unittest import mock
 
 import pytest
@@ -656,6 +657,18 @@ class TestRepeatedFiles:
         ]
         assert not (tmp_path / "d.csv").exists()
         assert not (tmp_path / "fps").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fingerprint_dir_formats_each_distinct_text_once(self, repeated_corpus, tmp_path, cpus):
+        texts = {p.read_bytes() for p in repeated_corpus.parent.glob("*.tg")}
+        # weftprint.fingerprint names the function; the module is in sys.modules.  The spy counts the
+        # calls made through the module and through cli's own name for the function, whichever it uses.
+        module = sys.modules["weftprint.fingerprint"]
+        with mock.patch.object(module, "fingerprint_to_text", wraps=module.fingerprint_to_text) as spy, \
+             mock.patch.object(cli, "fingerprint_to_text", spy, create=True):
+            assert main_on_cpus(cpus, ["fingerprint", "--in", str(repeated_corpus.parent), "--k", "2",
+                                       "--out", str(tmp_path / "fps")]) == 0
+        assert spy.call_count == len(texts) < len(list((tmp_path / "fps").iterdir()))
 
     def test_serial_route_walks_each_distinct_text_once(self, repeated_corpus, tmp_path):
         walked = []
