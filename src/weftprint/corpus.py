@@ -32,7 +32,6 @@ manifest).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -215,26 +214,29 @@ MANIFEST_NAME = "manifest.csv"
 
 
 def write_corpus(corpus, out_dir) -> Path:
-    """Write one ``.tg`` per item plus the manifest; returns the manifest path.
+    """Write one ``<id>.tg`` per item plus the manifest, and return its path.
 
-    Graphs are hashable by content, with the same hash in every process, so
-    each distinct graph is serialized once.
+    Each distinct graph is serialized once (graphs hash by content).  No file
+    is written until every text is built and the manifest text passes
+    ``_parse_manifest``, nor for an id holding a path separator or NUL.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    texts = {}  # graph: its .tg text
+    texts, item_texts = {}, []  # graph: its .tg text; each item's text
+    lines = ["id,path,category\n"]
     for item in corpus:
-        filename = f"{item.id}.tg"
+        if any(c in item.id for c in "/\\\0"):
+            raise ValueError(f"corpus id {item.id!r} must not hold a path separator or NUL")
         if item.graph not in texts:
             texts[item.graph] = serialize_graph(item.graph)
-        textio.write_text(out_dir / filename, texts[item.graph])
-        rows.append((item.id, filename, item.category))
+        item_texts.append(texts[item.graph])
+        lines.append(",".join(map(textio.csv_field, (item.id, f"{item.id}.tg", item.category))) + "\n")
+    manifest_text = "".join(lines)
+    rows = _parse_manifest(manifest_text)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (_, rel, _), text in zip(rows, item_texts):
+        textio.write_text(out_dir / rel, text)
     manifest = out_dir / MANIFEST_NAME
-    with open(manifest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "path", "category"])
-        writer.writerows(rows)
+    textio.write_text(manifest, manifest_text)
     return manifest
 
 

@@ -26,7 +26,6 @@ two all-zero vectors 0.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -369,8 +368,7 @@ def _cosine_row(dot: np.ndarray, norm_r: float, norm_s: np.ndarray) -> np.ndarra
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     """Distance CSV text, which ``csv_to_distance_matrix`` reads back.
 
-    ``csv.writer`` spells each id, so Python's own rule decides its quoting;
-    its CR LF row end makes it quote a CR in an id as it quotes an LF.
+    ``textio.csv_field`` spells each id, as it spells every manifest field.
     Each row is one ``%`` format of one matrix row: ``%d`` when
     ``dm.whole``, whatever the metric, which is exact at any size, else
     ``%.12g``, which is ``format(x, ".12g")``.  Rows are converted one at
@@ -378,11 +376,7 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
     equal an earlier row's reuses its text: equal floats would not do, as
     ``%.12g`` writes ``-0.0`` as ``-0`` and ``0.0`` as ``0``.
     """
-    quoted = []
-    for row_id in dm.ids:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow([row_id, ""])  # two fields: csv quotes a lone empty one
-        quoted.append(buf.getvalue()[:-3])
+    quoted = [textio.csv_field(row_id) for row_id in dm.ids]
     fmt = (",%d" if dm.whole else ",%.12g") * len(quoted)
     parts = [",".join(["id", *quoted]) + "\n"]
     first: dict[int, int] = {}  # hash of a row's bytes: the first row with that hash

@@ -65,11 +65,6 @@ def corpus_fingerprints(corpus: list[CorpusItem], k: int):
     return [item.id for item in corpus], fps
 
 
-def corpus_distance_matrix(corpus: list[CorpusItem], k: int, metric: str) -> DistanceMatrix:
-    ids, fps = corpus_fingerprints(corpus, k)
-    return distance_matrix(fps, metric, ids=ids)
-
-
 def evaluate_distance_matrix(dm: DistanceMatrix, labels: dict[str, str], n_clusters: int,
                              metric: str = "", k: int = 0) -> EvalReport:
     partition = upgma_cluster(dm, n_clusters)
@@ -90,5 +85,5 @@ def run_pipeline(spec: CorpusSpec, k: int, metric: str, n_clusters: int | None =
     if n_clusters is None:
         n_clusters = len(spec.categories)
     labels = {item.id: item.category for item in corpus}
-    dm = corpus_distance_matrix(corpus, k, metric)
-    return evaluate_distance_matrix(dm, labels, n_clusters, metric=metric, k=k)
+    ids, fps = corpus_fingerprints(corpus, k)
+    return evaluate_distance_matrix(distance_matrix(fps, metric, ids=ids), labels, n_clusters, metric=metric, k=k)

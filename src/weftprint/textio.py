@@ -2,7 +2,8 @@
 
 Files are UTF-8, read untranslated.  In .tg, .fp and spec files a line ends
 at LF, CR LF or CR only, split here; '#' starts a comment line, blank lines
-are ignored, and fields are separated by ASCII spaces and tabs.
+are ignored, and fields are separated by ASCII spaces and tabs.  One rule
+spells every CSV field a file holds, quoting a CR as it quotes an LF.
 """
 
 import csv
@@ -70,6 +71,13 @@ def load(path, parse, data=None):
 def write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file."""
     Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def csv_field(value: str) -> str:
+    """``value`` as a CSV field: ``csv.writer`` quotes it by Python's rule, and its CR LF row end makes a CR quoted too."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([value, ""])  # two fields: csv quotes a lone empty one
+    return buf.getvalue()[:-3]
 
 
 def csv_rows(text: str, what: str) -> list[list[str]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ import weftprint.corpus as corpus_module
 import weftprint.weaves as weaves_module
 from weftprint.corpus import (
     CategorySpec,
+    CorpusItem,
     CorpusSpec,
     generate_corpus,
     load_corpus,
@@ -20,7 +22,7 @@ from weftprint.corpus import (
     read_manifest,
     write_corpus,
 )
-from weftprint.graph import serialize_graph, validate
+from weftprint.graph import TERMINAL, TextileGraph, serialize_graph, validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
@@ -169,7 +171,7 @@ class TestSpecValidation:
                          perturb_fraction=0.75, transform_fraction=0.75)
 
     def test_line_breaks_in_names_rejected(self):
-        # a manifest row for such a name would not read back
+        # a spec line ends at CR or LF, so no spec file could name such a category
         for name in ("a\rb", "a\nb", "a\r\n", "\r"):
             with pytest.raises(ValueError, match="line breaks"):
                 CategorySpec(name=name, kind="plain", count=1, width=2, height=2)
@@ -403,3 +405,34 @@ class TestCorpusFiles:
         manifest.write_text(manifest.read_text() + "plain-000,plain-000.tg,plain\n")
         with pytest.raises(ValueError, match="duplicate id"):
             read_manifest(manifest)
+
+
+# Manifest fields: any text but a path separator or NUL, with the characters CSV quoting turns on made likely.
+MANIFEST_TEXT = st.text(st.one_of(st.sampled_from(["\r", "\n", ",", '"', " "]),
+                                  st.characters(exclude_characters="/\\\0")), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(MANIFEST_TEXT, MANIFEST_TEXT), unique_by=lambda row: row[0], min_size=1, max_size=4))
+@example([("a\rb", "y\rz"), (" a", '"q",\r\n')])
+def test_written_manifest_reads_back(rows):
+    graph = grid_to_graph(plain_weave(2, 2))
+    with tempfile.TemporaryDirectory() as out:
+        manifest = write_corpus([CorpusItem(item_id, graph, category) for item_id, category in rows], out)
+        assert [(item_id, category) for item_id, _, category in read_manifest(manifest)] == rows
+
+
+@pytest.mark.parametrize("ids, broken, refusal", [
+    (["a", "a"], None, "duplicate id 'a'"),
+    (["a", "../x"], None, r"corpus id '\.\./x' must not hold a path separator"),
+    (["a", "b\\c"], None, r"corpus id 'b\\\\c' must not hold a path separator"),
+    (["a", "b\0c"], None, r"corpus id 'b\\x00c' must not hold a path separator or NUL"),
+    (["a", "b"], "b", r"crossing 0: top-edge count != 2"),
+])
+def test_refused_corpus_writes_no_file(tmp_path, ids, broken, refusal):
+    good = grid_to_graph(plain_weave(2, 2))
+    bad = TextileGraph(np.array([TERMINAL] * 4), np.array([True, True, True, False]), np.array([1, 0, 3, 2]))
+    corpus = [CorpusItem(item_id, bad if item_id == broken else good, "c") for item_id in ids]
+    with pytest.raises(ValueError, match=refusal):
+        write_corpus(corpus, tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []

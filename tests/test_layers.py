@@ -127,3 +127,40 @@ def test_the_crossing_check_sees_imports_and_attribute_reads(tmp_path):
                                       "def f(g):\n    return g._walk(), g._cache, low._TABLE, H()._own(), g._unbound\n")
     assert private_crossings(tmp_path) == {"high: low._helper", "high: low._walk", "high: low._cache",
                                            "high: low._TABLE"}
+
+
+def file_writes(path):
+    """The calls in ``path`` that write a file or spell CSV outside ``textio``'s functions.
+
+    They are ``open(...)`` (as a name or an attribute), ``csv.writer`` (or
+    ``writer`` taken from ``csv``), and ``.write_text``/``.write_bytes`` on
+    anything but the ``textio`` module.
+    """
+    writers, found = {"csv.writer"}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            writers |= {a.asname or a.name for a in node.names if a.name == "writer"}
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+            spelled = f"{owner}.{name}" if owner else name
+            if name == "open" or spelled in writers or (name in ("write_text", "write_bytes") and owner != "textio"):
+                found.add(spelled)
+    return found
+
+
+def test_only_textio_writes_files():
+    # textio.write_text writes every text file, and textio.csv_field spells every CSV field written
+    writes = {f"{path.stem}: {call}" for path in PACKAGE.glob("*.py") if path.stem != "textio"
+              for call in file_writes(path)}
+    assert writes == set()
+
+
+def test_the_write_check_sees_every_spelling_of_a_write(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import csv\nfrom csv import writer as w\nfrom pathlib import Path\nfrom . import textio\n"
+                      "def f(p, fh):\n    open(p, 'w')\n    Path(p).open('w')\n    csv.writer(fh)\n    w(fh)\n"
+                      "    p.write_text('')\n    Path(p).write_bytes(b'')\n    textio.write_text(p, '')\n"
+                      "    csv.reader(fh)\n    p.read_text()\n")
+    assert file_writes(source) == {"open", "csv.writer", "w", "p.write_text", "write_bytes"}
