@@ -3,6 +3,9 @@
 #
 # The benchmark's seed-7 digests pin every byte of the written CSV and JSON files,
 # and on matrix-x3 the in-memory fingerprints and all five distance matrices.
+# Every corpus comes from generate_corpus, which builds one read-only matrix per
+# category of a kind that draws nothing and seeds only the draws a sample makes
+# (its random or mixed matrix, its cell flips), so the digests pin that route too.
 # study-desk runs twice: fingerprint --in DIR and distmatrix start one worker per
 # available CPU, and pinned to one CPU (taskset -c 0) they run serially, so the same
 # digests hold both routes to the same bytes.

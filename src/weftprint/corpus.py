@@ -5,6 +5,10 @@ of one weave kind on one grid size: first the clean bases, then a block of
 cell-flip perturbed samples, then a block of rotated/mirrored samples
 (cycling rotate90 / rotate180 / mirror).  Sample seeds derive from the
 category seed and the sample index, so a spec regenerates byte-for-byte.
+Each sample builds only what it reads: the seed of its draw only for a
+kind in ``SEEDED_KINDS``, the seed of its cell flips only when it is
+perturbed, and a kind that draws nothing builds one read-only matrix per
+category for every sample to start from.
 
 Spec files are INI-style, one section per category (grammar below and in
 the README)::
@@ -32,8 +36,10 @@ manifest).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +48,7 @@ import numpy as np
 from . import textio
 from .graph import TextileGraph, load_graph, serialize_graph
 from .weaves import (
+    SEEDED_KINDS,
     TRANSFORM_OPS,
     _motif_pool,
     _place_motifs,
@@ -133,12 +140,18 @@ _POOL_STREAM = 997  # category-level stream id for shared mixed-weave motif pool
 def _category_items(cat: CategorySpec, fallback_seed: int):
     seed = cat.seed if cat.seed is not None else fallback_seed
     name, args = parse_kind(cat.kind)
+    regular = None
     if name == "mixed":  # one motif pool per category, drawn once; each sample only re-arranges it
         motifs = _motif_pool(*args, np.random.SeedSequence([seed, _POOL_STREAM]))
+    elif name not in SEEDED_KINDS:  # the same matrix for every sample: built once, shared read-only
+        regular = weave_matrix(cat.kind, cat.width, cat.height)
+        regular.flags.writeable = False
     n_perturbed = cat.n_perturbed  # each read of the property builds a Fraction
     n_clean = cat.count - n_perturbed - cat.n_transformed
     for index in range(cat.count):
-        if name == "mixed":
+        if regular is not None:
+            cells = regular
+        elif name == "mixed":
             cells = _place_motifs(motifs, cat.width, cat.height, _sample_seed(seed, index, 0))
         else:
             cells = weave_matrix(cat.kind, cat.width, cat.height, seed=_sample_seed(seed, index, 0))
@@ -217,8 +230,11 @@ def write_corpus(corpus, out_dir) -> Path:
     """Write one ``<id>.tg`` per item plus the manifest, and return its path.
 
     Each distinct graph is serialized once (graphs hash by content).  No file
-    is written until every text is built and the manifest text passes
-    ``_parse_manifest``, nor for an id holding a path separator or NUL.
+    is written until every text is built, the manifest text passes
+    ``_parse_manifest`` and encodes as UTF-8, nor for an id holding a path
+    separator or NUL.  If the file system then refuses a write, the files
+    this call created and the directories it made are removed before the
+    error is raised again.
     """
     out_dir = Path(out_dir)
     texts, item_texts = {}, []  # graph: its .tg text; each item's text
@@ -232,11 +248,23 @@ def write_corpus(corpus, out_dir) -> Path:
         lines.append(",".join(map(textio.csv_field, (item.id, f"{item.id}.tg", item.category))) + "\n")
     manifest_text = "".join(lines)
     rows = _parse_manifest(manifest_text)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for (_, rel, _), text in zip(rows, item_texts):
-        textio.write_text(out_dir / rel, text)
     manifest = out_dir / MANIFEST_NAME
-    textio.write_text(manifest, manifest_text)
+    textio.encoded(manifest, manifest_text)  # it holds every id and category: refuses each UTF-8 cannot encode
+    made = list(takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [(out_dir / rel, text) for (_, rel, _), text in zip(rows, item_texts)] + [(manifest, manifest_text)]
+    created = []
+    try:
+        for path, text in files:
+            if not path.exists():
+                created.append(path)
+            textio.write_text(path, text)
+    except OSError:
+        # Each undo is tried: the refused path may name no file at all, as when it is too long.
+        for undo in [*(path.unlink for path in created), *(directory.rmdir for directory in made)]:
+            with suppress(OSError):
+                undo()
+        raise
     return manifest
 
 

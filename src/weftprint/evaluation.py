@@ -257,11 +257,14 @@ def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> Retrie
     """Average the per-query interpolated precision and F over 11 recall levels.
 
     Queries are ranked one category block at a time: one ``np.lexsort`` of
-    the block's rows on (distance, id rank) gives each item's place, and
-    only the places of the block's members are read.  With the query's own
-    place dropped, the k-th relevant item has rank ``r = place + (place <
-    own)`` and precision ``k / r``, the same division as at that rank of
-    the full ranking.  Interpolated precision at a level is the best of
+    the block's distinct rows on (distance, id rank) gives each item's
+    place, and only the places of the block's members are read.  Members
+    whose rows are equal in bytes, as repeated samples make them, rank
+    every item alike, so they share their row's places, and each reads
+    its own place from its row.  With the query's own place dropped, the
+    k-th relevant item has rank ``r = place + (place < own)`` and
+    precision ``k / r``, the same division as at that rank of the full
+    ranking.  Interpolated precision at a level is the best of
     these precisions from the first relevant item whose recall reaches
     it.  Per-query rows are kept in query order and summed left to right.
     """
@@ -283,11 +286,15 @@ def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> Retrie
         members = np.flatnonzero(category == c)
         s, m = len(members), len(members) - 1
         rows = dm.values[members]
-        order = np.lexsort((np.broadcast_to(id_rank, rows.shape), rows))
+        row_codes = {}  # each distinct row's bytes: its index in distinct
+        row_of = np.array([row_codes.setdefault(row.tobytes(), len(row_codes)) for row in rows])
+        distinct = rows[np.unique(row_of, return_index=True)[1]]
+        order = np.lexsort((np.broadcast_to(id_rank, distinct.shape), distinct))
         place = np.empty_like(order)
-        place[np.arange(s)[:, None], order] = np.arange(n)
-        own = place[np.arange(s), members][:, None]
-        places = np.sort(place[:, members], axis=1)
+        place[np.arange(len(distinct))[:, None], order] = np.arange(n)
+        place = place[:, members]
+        own = place[row_of, np.arange(s)][:, None]
+        places = np.sort(place, axis=1)[row_of]
         places = places[places != own].reshape(s, m)
         precision, ap[members] = _hit_precision(places + (places < own), m)
         # Best precision at any recall >= level: running max from the right.

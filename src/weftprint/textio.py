@@ -68,9 +68,20 @@ def load(path, parse, data=None):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def encoded(path, text: str) -> bytes:
+    """``text`` as UTF-8 for the file at ``path``; a character UTF-8 cannot encode is refused by path and offset."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise ValueError(f"{path}: not UTF-8: character {exc.start}: {exc.reason}") from None
+
+
 def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are: the one writer of every text file.
+
+    The text is encoded before the file is opened, so a refused text leaves the file as it was.
+    """
+    Path(path).write_bytes(encoded(path, text))
 
 
 def csv_field(value: str) -> str:

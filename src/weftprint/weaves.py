@@ -142,7 +142,9 @@ def _mixed_from_seed(block: int, pool: int, w: int, h: int, seed) -> np.ndarray:
     return mixed_weave(block, pool, w, h, *seed.spawn(2))
 
 
-# Each kind's argument types and generator; random and mixed also take a seed.
+# The kinds whose samples draw from a seed; every other kind gives one matrix per grid size.
+SEEDED_KINDS = ("random", "mixed")
+# Each kind's argument types and generator; the seeded kinds also take a seed.
 _KINDS = {"plain": ((), plain_weave), "twill": ((int, int), twill_weave), "satin": ((int, int), satin_weave),
           "warp_above": ((), warp_above_weave), "random": ((float,), random_weave),
           "mixed": ((int, int), _mixed_from_seed)}
@@ -171,12 +173,12 @@ def parse_kind(kind: str) -> tuple[str, list]:
 def weave_matrix(kind: str, w: int, h: int, seed=None) -> np.ndarray:
     """Build a matrix from a kind string such as ``twill(2,1)`` or ``random(0.5)``.
 
-    The stochastic kinds, ``random`` and ``mixed``, require ``seed``; for
+    The stochastic kinds, :data:`SEEDED_KINDS`, require ``seed``; for
     ``mixed`` the motif pool and the placements both derive from it, so use
     :func:`mixed_weave` directly to share one pool across several mosaics.
     """
     name, args = parse_kind(kind)
-    if name not in ("random", "mixed"):
+    if name not in SEEDED_KINDS:
         return _KINDS[name][1](*args, w, h)
     if seed is None:
         raise ValueError(f"{name} weave needs a seed")

@@ -14,6 +14,8 @@ one motif at a time and stacks the picked blocks.  The canonical ``.tg``
 oracles are one backtracking regex plus ``np.fromstring`` for reading and
 one ``%``-format over every field for writing.  The per-query retrieval
 oracle sorts each query's whole row and reads precision at every rank.
+The per-item corpus oracle builds every sample's matrix and both of its
+seed streams, whether the sample reads them or not.
 """
 
 import configparser
@@ -27,10 +29,11 @@ from statistics import fmean
 
 import numpy as np
 
-from weftprint.corpus import CategorySpec, CorpusSpec
+from weftprint.corpus import CategorySpec, CorpusItem, CorpusSpec
 from weftprint.evaluation import RECALL_LEVELS, RetrievalCurves
 from weftprint.fingerprint import PAD
 from weftprint.graph import _FORMAT_COMMENT, TERMINAL
+from weftprint.weaves import TRANSFORM_OPS, grid_to_graph, parse_kind, perturb, transform, weave_matrix
 
 
 def explicit_hypergraph(g):
@@ -222,6 +225,32 @@ def per_motif_mixed_weave(block, pool, w, h, pool_seed, choice_seed):
         for _ in range(-(-h // block))
     ]
     return np.vstack(rows)[:h, :w]
+
+
+def per_item_corpus(spec):
+    """``generate_corpus`` with one matrix per sample, each mosaic drawn from its own copy of the category pool.
+
+    Every sample builds its stream-0 and stream-1 seed sequences and its own
+    matrix, as the generator once did, whether its kind and block read them.
+    """
+    items = []
+    for position, cat in enumerate(spec.categories):
+        seed = cat.seed if cat.seed is not None else spec.seed * 1000 + position
+        name, args = parse_kind(cat.kind)
+        n_perturbed, n_transformed = cat.n_perturbed, cat.n_transformed
+        n_clean = cat.count - n_perturbed - n_transformed
+        for index in range(cat.count):
+            draw, flips = (np.random.SeedSequence([seed, index, stream]) for stream in (0, 1))
+            if name == "mixed":
+                cells = per_motif_mixed_weave(*args, cat.width, cat.height, np.random.SeedSequence([seed, 997]), draw)
+            else:
+                cells = weave_matrix(cat.kind, cat.width, cat.height, seed=draw)
+            if n_clean <= index < n_clean + n_perturbed:
+                cells = perturb(cells, cat.perturb_rate, flips)
+            elif index >= n_clean + n_perturbed:
+                cells = transform(cells, TRANSFORM_OPS[(index - n_clean - n_perturbed) % len(TRANSFORM_OPS)])
+            items.append(CorpusItem(f"{cat.name}-{index:03d}", grid_to_graph(cells), cat.name))
+    return items
 
 
 _SPEC_TYPES = {"kind": str, "count": int, "width": int, "height": int,

@@ -26,7 +26,7 @@ from weftprint.graph import TERMINAL, TextileGraph, serialize_graph, validate
 from weftprint.weaves import grid_to_graph, plain_weave
 
 from conftest import MISSPELLED_SPECS, desk_scale_config_text, desk_scale_spec
-from oracles import configparser_corpus_spec, per_motif_mixed_weave
+from oracles import configparser_corpus_spec, per_item_corpus, per_motif_mixed_weave
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,20 +57,20 @@ FRACTIONS = st.floats(0, 1)
 
 
 @st.composite
-def category_specs(draw):
+def category_specs(draw, sizes=st.integers(1, 2**64), seeds=st.integers(0, 2**64)):
     perturb_fraction, transform_fraction = draw(FRACTIONS), draw(FRACTIONS)
     assume(Fraction(str(perturb_fraction)) + Fraction(str(transform_fraction)) <= 1)  # the exact sum, as the spec rule
     return CategorySpec(
         name=draw(st.from_regex(r"[a-z0-9][a-z0-9_.-]{0,8}", fullmatch=True).filter(lambda s: s != "corpus")),
         kind=draw(st.one_of(st.sampled_from(["plain", "warp_above", "twill(2,1)", "satin(5,2)", "mixed(4,3)"]),
                             FRACTIONS.map(lambda d: f"random({d})"))),
-        count=draw(st.integers(1, 2**64)),
-        width=draw(st.integers(1, 2**64)),
-        height=draw(st.integers(1, 2**64)),
+        count=draw(sizes),
+        width=draw(sizes),
+        height=draw(sizes),
         perturb_fraction=perturb_fraction,
         perturb_rate=draw(FRACTIONS),
         transform_fraction=transform_fraction,
-        seed=draw(st.integers(0, 2**64)),
+        seed=draw(seeds),
     )
 
 
@@ -156,6 +156,26 @@ class TestGenerate:
             cells = per_motif_mixed_weave(block, pool, width, height, pool_seed,
                                           np.random.SeedSequence([seed, index, 0]))
             assert item.graph == grid_to_graph(cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(category_specs(st.integers(1, 12), st.none() | st.integers(0, 2**64)), min_size=1, max_size=3,
+                    unique_by=lambda c: c.name), st.integers(0, 2**32))
+    def test_generate_equals_per_item_oracle(self, categories, seed):
+        spec = CorpusSpec(tuple(categories), seed=seed)
+        assert generate_corpus(spec) == per_item_corpus(spec)
+
+    def test_each_sample_builds_only_what_it_reads(self):
+        # the x3 corpus: 9 categories of 60 samples, 15 of each perturbed; one category of 60 mosaics
+        spec = desk_scale_spec()
+        spec = CorpusSpec(tuple(dataclasses.replace(cat, count=60) for cat in spec.categories), seed=spec.seed)
+        with mock.patch.object(corpus_module, "_sample_seed", wraps=corpus_module._sample_seed) as sample_seed, \
+                mock.patch.object(corpus_module, "weave_matrix", wraps=weaves_module.weave_matrix) as matrix:
+            corpus = generate_corpus(spec)
+        assert len(corpus) == 540
+        streams = [c.args[2] for c in sample_seed.call_args_list]
+        assert (len(streams), streams.count(0), streams.count(1)) == (195, 60, 135)
+        regular = [cat.kind for cat in spec.categories if not cat.kind.startswith("mixed")]
+        assert matrix.call_args_list == [mock.call(kind, 24, 24) for kind in regular]  # one unseeded build each
 
 
 class TestSpecValidation:
@@ -412,14 +432,25 @@ MANIFEST_TEXT = st.text(st.one_of(st.sampled_from(["\r", "\n", ",", '"', " "]),
                                   st.characters(exclude_characters="/\\\0")), max_size=8)
 
 
+SURROGATE = re.compile("[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(MANIFEST_TEXT, MANIFEST_TEXT), unique_by=lambda row: row[0], min_size=1, max_size=4))
 @example([("a\rb", "y\rz"), (" a", '"q",\r\n')])
+@example([("a", "\ud800")])
 def test_written_manifest_reads_back(rows):
+    # a lone surrogate, which UTF-8 cannot encode, is refused before any file is made
     graph = grid_to_graph(plain_weave(2, 2))
+    corpus = [CorpusItem(item_id, graph, category) for item_id, category in rows]
     with tempfile.TemporaryDirectory() as out:
-        manifest = write_corpus([CorpusItem(item_id, graph, category) for item_id, category in rows], out)
-        assert [(item_id, category) for item_id, _, category in read_manifest(manifest)] == rows
+        if not any(SURROGATE.search(item_id + category) for item_id, category in rows):
+            manifest = write_corpus(corpus, out)
+            assert [(item_id, category) for item_id, _, category in read_manifest(manifest)] == rows
+        else:
+            with pytest.raises(ValueError, match=r"manifest\.csv: not UTF-8: character \d+: surrogates not allowed$"):
+                write_corpus(corpus, Path(out) / "corpus")
+            assert list(Path(out).iterdir()) == []
 
 
 @pytest.mark.parametrize("ids, broken, refusal", [
@@ -436,3 +467,26 @@ def test_refused_corpus_writes_no_file(tmp_path, ids, broken, refusal):
     with pytest.raises(ValueError, match=refusal):
         write_corpus(corpus, tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ids, category", [(["a", "b"], "\ud800"), (["a", "\ud800"], "c"), (["a", "b\udc80"], "c")],
+                         ids=["category", "id", "escaped_byte_id"])
+def test_unencodable_names_leave_the_directory_as_it_was(tmp_path, ids, category):
+    (tmp_path / "manifest.csv").write_text("id,path,category\n", encoding="utf-8")
+    graph = grid_to_graph(plain_weave(2, 2))
+    with pytest.raises(ValueError, match=r"manifest\.csv: not UTF-8: character \d+: surrogates not allowed$"):
+        write_corpus([CorpusItem(item_id, graph, category) for item_id in ids], tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
+    assert (tmp_path / "manifest.csv").read_text(encoding="utf-8") == "id,path,category\n"
+
+
+def test_refused_file_name_removes_what_the_write_made(tmp_path):
+    # a file name past the file system's limit (255 bytes on Linux) is refused only when the file is made
+    graph = grid_to_graph(plain_weave(2, 2))
+    corpus = [CorpusItem(item_id, graph, "c") for item_id in ("a", "b", "x" * 300)]
+    with pytest.raises(OSError, match="File name too long"):
+        write_corpus(corpus, tmp_path / "new" / "corpus")
+    (tmp_path / "a.tg").write_text("kept\n", encoding="utf-8")
+    with pytest.raises(OSError, match="File name too long"):
+        write_corpus(corpus, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.tg"]  # replaced, not made, by the refused write

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from collections import Counter
 from unittest import mock
@@ -462,6 +463,15 @@ class TestDistanceCsv:
         assert dm.metric == ""
         save_distance_matrix(dm, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_text(encoding="utf-8") == text
+
+    def test_unencodable_id_leaves_the_file_as_it_was(self, tmp_path):
+        # a lone surrogate, which UTF-8 cannot encode, is refused before the file is opened
+        path = tmp_path / "d.csv"
+        path.write_text("id,a\na,0\n", encoding="utf-8")
+        dm = DistanceMatrix(("a", "\ud800"), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: character 5: surrogates not allowed$"):
+            save_distance_matrix(dm, path)
+        assert path.read_text(encoding="utf-8") == "id,a\na,0\n"
 
     def test_float_metrics_12_significant_digits(self):
         dm = distance_matrix([R, S], "jaccard", ids=("a", "b"))

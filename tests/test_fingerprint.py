@@ -448,6 +448,16 @@ class TestFingerprintFiles:
         else:
             assert equal and text == unchecked
 
+    def test_the_writer_of_fp_files_leaves_a_file_whose_text_it_refuses(self, tmp_path):
+        # a fingerprint's text is ASCII by construction; the one writer it goes through encodes before it opens
+        from weftprint import textio
+
+        path = tmp_path / "x.fp"
+        path.write_text("A,A;A,A 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8: character 10: surrogates not allowed$"):
+            textio.write_text(path, "A,A;A,A 2\n\udc80")
+        assert path.read_text(encoding="utf-8") == "A,A;A,A 1\n"
+
     def test_save_load(self, tmp_path):
         from weftprint.fingerprint import load_fingerprint, save_fingerprint
 
