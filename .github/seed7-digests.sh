@@ -21,9 +21,15 @@
 # last JSON line, so a log shows where set-up time, pass time and memory move.
 # The script exits 1 at the first incorrect run and prints its report, whose FAILED
 # lines name each failed check.
+# Last, perfbench/quality.py --seed 7 scores jaccard and hbool away from saturation
+# (k = 2, 4, 6 at four perturbation rates), where the digests' corpora score MAP = F = 1.0.
+# Its 24 cells (MAP, F and RI) must equal perfbench/trajectory/d81d0fe-quality.json
+# exactly, so UPGMA, retrieval and the hbool kernel are pinned where their results vary.
+# The script exits 1 if any cell differs, and prints each differing cell.
 cd "$(dirname "$0")/.." || exit 1
 log=$(mktemp)
-trap 'rm -f "$log"' EXIT
+err=$(mktemp)
+trap 'rm -f "$log" "$err"' EXIT
 for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -c 0" "study-desk 11" \
     "matrix-x3 11" "rescore-n999 11"; do
   read -r workload seed pin <<< "$run"  # pin: an optional command prefix
@@ -37,3 +43,16 @@ for run in "study-desk 7" "matrix-x3 7" "rescore-n999 7" "study-desk 7 taskset -
 print("setup_s %s, pass_s %s, peak_rss_mb %s" % tuple(m[k]["value"] for k in ("setup_s", "pass_s", "peak_rss_mb")))')
   echo "seed $seed, $workload${pin:+ $pin}: correct, $metrics"
 done
+python perfbench/quality.py --seed 7 > "$log" 2> "$err" || { cat "$err"; exit 1; }
+python - "$log" perfbench/trajectory/d81d0fe-quality.json <<'PY' || exit 1
+import json, sys
+got, want = (json.load(open(path, encoding="utf-8"))["cells"] for path in sys.argv[1:])
+if len(got) != 24 or got != want:
+    print(f"FAILED: {len(got)} quality cells against {len(want)} recorded; 24 expected")
+    for cell in [c for c in got if c not in want]:
+        print("FAILED: quality cell", json.dumps(cell), "is not recorded")
+    for cell in [c for c in want if c not in got]:
+        print("FAILED: recorded quality cell", json.dumps(cell), "is missing")
+    sys.exit(1)
+print("seed 7, quality: the 24 cells (MAP, F, RI) equal the d81d0fe record")
+PY

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -241,7 +242,61 @@ def distance_matrix(
 
 
 def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None) -> np.ndarray:
-    """The columnar kernel behind ``distance_matrix``.
+    """The columnar kernel behind ``distance_matrix``, run once per distinct row.
+
+    Rows with equal key ids and equal values, in the same order, form one
+    class; under hbool the values are presence flags, so equal key sets
+    with different counts share a class.  Outside tfidf every sum is an
+    exact integer, so a pair's cell does not depend on which side is
+    iterated: ``_posting_kernel`` then runs on each class's first row
+    only, and one gather of its d x d block fills the n x n matrix.  Two
+    rows of one class are 0 apart, except under cosine, where they are
+    ``_cosine_row(squares, norm, norm)``, as ``cosine_distance`` rounds a
+    row against itself, and under jaccard, which refuses a class of two or
+    more empty or all-zero rows.  tfidf, whose float sums depend on the
+    side iterated, and any input without a repeated row take the kernel
+    over all rows.
+    """
+    n = len(vectors)
+    entry_row, cols, data, n_keys = _entries(vectors, metric, stats)
+    if metric == "tfidf":
+        return _posting_kernel(entry_row, cols, data, n_keys, n, metric)
+    row_class = _row_classes(entry_row, cols, data, n)
+    d = int(row_class.max()) + 1
+    if d == n:
+        return _posting_kernel(entry_row, cols, data, n_keys, n, metric)
+    first = np.zeros(n, dtype=bool)
+    first[np.unique(row_class, return_index=True)[1]] = True
+    keep = first[entry_row]
+    entry_row, cols, data = row_class[entry_row[keep]], cols[keep], data[keep]
+    block = _posting_kernel(entry_row, cols, data, n_keys, d, metric)
+    if metric == "jaccard":  # copies of an empty or all-zero row have an empty union
+        repeated = np.bincount(row_class) > 1
+        if not np.bincount(entry_row, weights=data, minlength=d)[repeated].all():
+            raise ValueError(_EMPTY_JACCARD)
+    if metric == "cosine":  # the block's diagonal becomes _cosine_row(squares, norm, norm), row by row
+        squares = np.bincount(entry_row, weights=data * data, minlength=d)
+        norms = np.sqrt(squares)
+        with np.errstate(invalid="ignore"):  # 0/0 for an all-zero row: nan, which the clamp makes 0
+            self_distance = 1.0 - squares / (norms * norms)
+        np.fill_diagonal(block, np.where(self_distance > 0.0, self_distance, 0.0))
+    values = block[np.ix_(row_class, row_class)]
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+def _row_classes(entry_row: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+    """Each row's class, numbered in first-seen order; a row's signature is its key ids and values as bytes."""
+    ends = (np.cumsum(np.bincount(entry_row, minlength=n)) * 8).tolist()  # each row's end in bytes
+    key_bytes, value_bytes = cols.tobytes(), data.tobytes()
+    classes: dict[bytes, int] = {}
+    return np.fromiter((classes.setdefault(key_bytes[a:b] + value_bytes[a:b], len(classes))
+                        for a, b in zip([0, *ends], ends)), dtype=np.intp, count=n)
+
+
+def _posting_kernel(entry_row: np.ndarray, cols: np.ndarray, data: np.ndarray, n_keys: int, n: int,
+                    metric: str) -> np.ndarray:
+    """All n x n distances of the rows in ``_entries``' arrays, through posting lists.
 
     Rows stay in input order; only the posting lists and the loop see their
     rank, by (support size, index): that puts first the side
@@ -253,8 +308,6 @@ def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None
     conversion, and one Σmin row serves jaccard, hfreq and hbool.  Memory
     grows with the total support size, never with n times the vocabulary.
     """
-    n = len(vectors)
-    entry_row, cols, data, n_keys = _entries(vectors, metric, stats)
     support = np.bincount(entry_row, minlength=n)
     indptr = np.concatenate(([0], np.cumsum(support)))
     order = np.argsort(support, kind="stable")
@@ -300,18 +353,15 @@ def _pairwise(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None
 def _entries(vectors: Sequence[Mapping], metric: str, stats: CorpusStats | None):
     """``(entry_row, cols, data, key count)``: the kernel's float entries, row by row in input order.
 
-    Each row keeps its own key order, and key ids are interned once.  Under
-    tfidf the entries are weighed as ``tfidf_weights`` weighs them, so a
-    dropped count leaves the support.  The key and count lists built here
-    are freed on return, before the kernel makes its n x n result.
+    Each row keeps its own key order.  Key ids are numbered in first-seen
+    order, in one C-level pass over the chained keys.  Under tfidf the
+    entries are weighed as ``tfidf_weights`` weighs them, so a dropped
+    count leaves the support.  The count list built here is freed on
+    return, before the kernel makes its n x n result.
     """
-    vocab: dict = {}
-    keys: list[int] = []
-    counts: list = []
-    for v in vectors:
-        keys.extend(vocab.setdefault(p, len(vocab)) for p in v)
-        counts.extend(v.values())
-    cols = np.array(keys, dtype=np.int64)
+    vocab = defaultdict(count().__next__)  # a key not yet seen takes the next id
+    cols = np.fromiter(map(vocab.__getitem__, chain.from_iterable(vectors)), dtype=np.int64)
+    counts = list(chain.from_iterable(v.values() for v in vectors))
     data = np.array(counts)
     entry_row = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
     if metric == "tfidf":
@@ -404,7 +454,11 @@ def _csv_canonical(text: str):
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.removesuffix("\n").split("\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the newline that ends the last row
+        lines.pop()
+    if not lines:
+        return None
     header = lines[0].split(",")
     n = len(header) - 1
     if header[0] != "id" or n < 1 or len(lines) != n + 1:

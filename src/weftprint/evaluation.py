@@ -78,8 +78,9 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
     Representatives are original matrix indices; the surviving cluster
     keeps the smaller one.  Mean pairwise distances are maintained
     incrementally as size-weighted averages, equal to the from-scratch
-    mean up to rounding.  Ties between equal stored means resolve to the
-    smallest (rep_i, rep_j) pair.
+    mean up to rounding: the survivor's row is updated in place, in three
+    array passes, and copied to its column.  Ties between equal stored
+    means resolve to the smallest (rep_i, rep_j) pair.
 
     Each row's minimum and the first column holding it are cached, so a
     merge costs O(live clusters) plus a rescan of the rows whose minimum
@@ -112,17 +113,23 @@ def upgma_merges(dm: DistanceMatrix) -> list[tuple[int, int, float]]:
         j = int(arg[i])
         merges.append((int(live[i]), int(live[j]), float(d[i, j])))
         wi, wj = sizes[i], sizes[j]
-        d[i] = d[:, i] = (wi * d[i] + wj * d[j]) / (wi + wj)
-        d[i, i] = d[j] = d[:, j] = np.inf
+        # Row i becomes (wi*d[i] + wj*d[j]) / (wi + wj) in place.  Its inf
+        # at columns i and j (from d[i, i] and d[j, j]) and at merged-away
+        # columns stay inf; row j is never read again.
+        col = d[i]
+        col *= wi
+        col += d[j] * wj
+        col /= wi + wj
+        d[:, i] = col
+        d[:, j] = np.inf
         sizes[i], sizes[j] = wi + wj, 0.0
         low[j], arg[j] = np.inf, -1
         # Row i is stale (arg[i] == j and col[i] is inf); every row not
         # stale only meets the new column i.
-        col = d[i]
-        stale = np.flatnonzero(((arg == i) | (arg == j)) & (col > low))
+        stale = (((arg == i) | (arg == j)) & (col > low)).nonzero()[0]
         fold = (col < low) | ((col == low) & (i < arg))
-        low[fold] = col[fold]
-        arg[fold] = i
+        np.putmask(low, fold, col)
+        np.putmask(arg, fold, i)
         arg[stale] = d[stale].argmin(axis=1)
         low[stale] = d[stale, arg[stale]]
     return merges
@@ -256,8 +263,9 @@ class RetrievalCurves:
 def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> RetrievalCurves:
     """Average the per-query interpolated precision and F over 11 recall levels.
 
-    Queries are ranked one category block at a time: one ``np.lexsort`` of
-    the block's distinct rows on (distance, id rank) gives each item's
+    Queries are ranked one category block at a time: one stable
+    ``np.argsort`` of the block's distinct rows, their columns taken in
+    ascending id order, sorts on (distance, id) and gives each item's
     place, and only the places of the block's members are read.  Members
     whose rows are equal in bytes, as repeated samples make them, rank
     every item alike, so they share their row's places, and each reads
@@ -279,7 +287,7 @@ def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> Retrie
     queries = np.flatnonzero(size > 1)
     if not len(queries):
         raise ValueError("no query has a relevant item")
-    id_rank = _id_rank(dm.ids)
+    by_id = np.argsort(_id_rank(dm.ids))  # the indices in ascending id order
     interp_p = np.empty((n, len(RECALL_LEVELS)))
     ap = np.empty(n)
     for c in np.unique(category[queries]).tolist():
@@ -289,7 +297,7 @@ def interpolated_curves(dm: DistanceMatrix, labels: Mapping[str, str]) -> Retrie
         row_codes = {}  # each distinct row's bytes: its index in distinct
         row_of = np.array([row_codes.setdefault(row.tobytes(), len(row_codes)) for row in rows])
         distinct = rows[np.unique(row_of, return_index=True)[1]]
-        order = np.lexsort((np.broadcast_to(id_rank, distinct.shape), distinct))
+        order = by_id[np.argsort(distinct[:, by_id], axis=1, kind="stable")]
         place = np.empty_like(order)
         place[np.arange(len(distinct))[:, None], order] = np.arange(n)
         place = place[:, members]

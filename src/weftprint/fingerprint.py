@@ -19,9 +19,10 @@ The fingerprint of a graph is the multiset of its crossing neighborhoods,
 kept sparse as a ``Counter``: real weaves use a tiny fraction of the
 possible neighborhoods.  Extraction is a single pass over the flat node
 array, O(n*k) for n crossings; the hot loop walks arms as base-4 label
-integers, and each distinct arm is decoded to its label string once per
-call.  Walks raise :class:`~weftprint.graph.InvalidGraphError` on a graph
-that breaks the model: the graph module checks each graph before its first.
+integers, and each distinct key is formatted once per process, through a
+key table of fixed size.  Walks raise
+:class:`~weftprint.graph.InvalidGraphError` on a graph that breaks the
+model: the graph module checks each graph before its first.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ ArmSequence = str
 # Canonical "<arm>,<arm>;<arm>,<arm>" string, top/bottom pairs unordered.
 Neighborhood = str
 Fingerprint = Counter
+
+# The key table: each four-arm tuple fingerprint has counted, to its key
+# string.  It is filled up to a fixed number of keys and never emptied.
+# Only depths up to _KEY_TABLE_DEPTH enter it, so each entry stays small:
+# the arms of a deep walk grow one label per step.
+_KEY_TABLE_SIZE = 2**14
+_KEY_TABLE_DEPTH = 16
+_KEY_NAMES: dict[tuple[int, int, int, int], str] = {}
 
 
 def arm_walk(g: TextileGraph, start: int, k: int) -> ArmSequence:
@@ -105,9 +114,18 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
     linear in k for every k, except that an arm taking s steps (round a
     closed thread, say) grows its integer one label per step, in time
     quadratic in s with a small constant.  Keys keep first-crossing order.
+
+    Each four-arm tuple maps to its key string through ``_KEY_NAMES``, one
+    table for the process, so a key is formatted once and every later
+    fingerprint holding it shares the string.  The table takes keys until
+    it holds ``_KEY_TABLE_SIZE`` of them; a call whose new keys do not
+    fit formats all of its keys itself.  Only ``k <= _KEY_TABLE_DEPTH``
+    enters it, a choice made at entry, so no entry holds the long arms of
+    a deep walk.  At k=4 an entry costs about 300 bytes.
     """
     if k < 1:
         raise ValueError(f"walk depth k must be >= 1, got {k}")
+    names = _KEY_NAMES if k <= _KEY_TABLE_DEPTH else {}
     nxt, top, opp = g._thread_arrays()
     keys = []
     append = keys.append
@@ -192,11 +210,14 @@ def fingerprint(g: TextileGraph, k: int = DEFAULT_K) -> Fingerprint:
             append((a0, a1, b0, b1))
     # Key order is part of the output: the distance kernel sums in it.
     counts = Counter(keys)
-    text = {arm: _decode_arm(arm) for arm in set().union(*counts)}
-    return Counter({
-        f"{text[a0]},{text[a1]};{text[b0]},{text[b1]}": count
-        for (a0, a1, b0, b1), count in counts.items()
-    })
+    missing = [key for key in counts if key not in names]
+    if len(names) + len(missing) > _KEY_TABLE_SIZE:  # a full table is left as it is
+        names, missing = {}, counts
+    if missing:
+        text = {arm: _decode_arm(arm) for arm in set().union(*missing)}
+        names.update({(a0, a1, b0, b1): f"{text[a0]},{text[a1]};{text[b0]},{text[b1]}"
+                      for a0, a1, b0, b1 in missing})
+    return Counter({names[key]: count for key, count in counts.items()})
 
 
 def _decode_arm(arm: int) -> str:

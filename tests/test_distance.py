@@ -371,6 +371,7 @@ def assert_kernel_matches_pairs(fps, metrics=METRICS, stats=None):
         for (i, j), d in want.items():
             assert bits(values[i, j]) == bits(d), (metric, i, j)
             assert bits(values[j, i]) == bits(d), (metric, j, i)
+        assert values.diagonal().tobytes() == bytes(8 * n), metric  # +0.0, whatever a row's distance to itself
 
 
 @st.composite
@@ -397,6 +398,70 @@ def zero_idf_corpora(draw):
         fp.update({p: 0 for p in draw(st.sets(KEYS, max_size=2)) if p not in fp})
         fps.append(fp)
     return fps
+
+
+@st.composite
+def repeating_corpora(draw):
+    # each repeat is the same object (as distmatrix passes it), an equal copy, the same keys
+    # with other positive counts (one hbool class), or an empty Counter
+    fps = draw(st.lists(FINGERPRINTS, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 6))):
+        fp = draw(st.sampled_from(fps))
+        kind = draw(st.sampled_from(["same object", "copy", "other counts", "empty"]))
+        fps.append(fp if kind == "same object" else Counter(fp) if kind == "copy"
+                   else Counter({p: draw(st.integers(1, 9)) for p in fp}) if kind == "other counts" else Counter())
+    return draw(st.permutations(fps))
+
+
+class TestRepeatedRows:
+    """Rows that repeat are computed once, outside tfidf, and each cell still equals ``pair_distance``."""
+
+    @settings(deadline=None)
+    @given(repeating_corpora())
+    @example([Counter(), Counter(), Counter({"p0": 1})])  # jaccard refuses a class of two empty rows
+    @example([Counter({"p0": 1, "p1": 2})] * 2 + [Counter({"p2": 1})])  # cosine puts the copies 2.2e-16 apart
+    def test_kernel_matches_pair_distance(self, fps):
+        assert_kernel_matches_pairs(fps)
+
+    @staticmethod
+    def kernel_rows(monkeypatch, fps, metric):
+        """``_pairwise``'s result and the row count of each posting-kernel run it made."""
+        runs = []
+        kernel = distance._posting_kernel
+
+        def spy(*args):
+            runs.append((args[4], kernel(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(distance, "_posting_kernel", spy)
+        values = distance._pairwise(fps, metric, corpus_stats(fps))
+        return values, runs
+
+    def test_hbool_classes_are_formed_on_presence(self, monkeypatch):
+        fps = [Counter({"a": 1, "b": 2}), Counter({"a": 3, "b": 1}), Counter({"c": 1})]
+        values, runs = self.kernel_rows(monkeypatch, fps, "hbool")
+        assert [n for n, _ in runs] == [2]
+        assert values.tolist() == [[0, 0, 3], [0, 0, 3], [3, 3, 0]]
+        _, runs = self.kernel_rows(monkeypatch, fps, "hfreq")
+        assert [n for n, _ in runs] == [3]
+
+    def test_the_same_object_listed_again_is_one_row(self, monkeypatch):
+        a, b = Counter({"a": 2, "b": 1}), Counter({"b": 4})
+        _, runs = self.kernel_rows(monkeypatch, [a, b, a, a, b], "jaccard")
+        assert [n for n, _ in runs] == [2]
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_corpus_without_repeats_takes_the_kernel_over_all_rows(self, monkeypatch, metric):
+        # equal Counters with their keys in another order are distinct rows: a row's key order is its own
+        fps = [Counter({"a": 2, "b": 1}), Counter({"b": 1, "a": 2}), Counter({"a": 3}), Counter()]
+        values, runs = self.kernel_rows(monkeypatch, fps, metric)
+        assert [n for n, _ in runs] == [4]
+        assert values is runs[0][1]  # no gather
+
+    def test_tfidf_takes_the_kernel_over_all_rows(self, monkeypatch):
+        fps = [Counter({"a": 2, "b": 1})] * 3 + [Counter({"b": 4})]
+        _, runs = self.kernel_rows(monkeypatch, fps, "tfidf")
+        assert [n for n, _ in runs] == [4]
 
 
 class TestKernelMatchesPairDistance:
@@ -614,6 +679,8 @@ class TestCsvFastPath:
     @example("id,a\rb\na\rb,0\n")
     @example("id,a\na,\n")
     @example("id,a\na,0,1\n")
+    @example("")
+    @example("\n")
     def test_fast_path_matches_reference_reader(self, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the fast path may not warn either

@@ -1,3 +1,4 @@
+import importlib
 import re
 import tracemalloc
 from collections import Counter
@@ -31,6 +32,8 @@ from weftprint.weaves import (
 )
 
 from oracles import digit_loop_decode_arm, naive_fingerprint
+
+fingerprint_mod = importlib.import_module("weftprint.fingerprint")  # the package's name fingerprint is the function
 
 
 def interior_warp_arm(w, h):
@@ -221,6 +224,34 @@ class TestFingerprint:
         # codes are a sentinel digit 1 and then k base-4 label digits
         k, arm = k_arm
         assert _decode_arm(arm) == digit_loop_decode_arm(arm, k)
+
+    @pytest.mark.parametrize("state", ["cold", "warm", "full"])
+    def test_key_table_keeps_keys_and_their_order(self, monkeypatch, state):
+        table = {}
+        monkeypatch.setattr(fingerprint_mod, "_KEY_NAMES", table)
+        first, second = (grid_to_graph(random_weave(0.5, 9, 7, seed)) for seed in (1, 2))
+        if state != "cold":
+            fingerprint(first, 3)
+        if state == "full":  # the second graph's new keys do not fit: it formats all of its keys itself
+            monkeypatch.setattr(fingerprint_mod, "_KEY_TABLE_SIZE", len(table) + 1)
+        before = dict(table)
+        for g in (first, second):
+            fp = fingerprint(g, 3)
+            ref = Counter(crossing_neighborhood(g, c, 3) for c in range(g.crossing_count))
+            assert list(fp.items()) == list(ref.items())
+        if state == "full":
+            assert table == before
+        else:  # the keys are the table's own strings
+            assert {id(name) for name in table.values()} >= {id(key) for key in fp}
+        assert len(table) <= fingerprint_mod._KEY_TABLE_SIZE
+
+    def test_deep_keys_stay_out_of_the_key_table(self, monkeypatch):
+        monkeypatch.setattr(fingerprint_mod, "_KEY_NAMES", {})
+        g = grid_to_graph(random_weave(0.5, 5, 4, 3))
+        for k in (fingerprint_mod._KEY_TABLE_DEPTH + 1, 1):
+            ref = Counter(crossing_neighborhood(g, c, k) for c in range(g.crossing_count))
+            assert list(fingerprint(g, k).items()) == list(ref.items())
+        assert {(len(key) - 3) // 4 for key in fingerprint_mod._KEY_NAMES.values()} == {1}
 
     def test_large_k_memory_is_linear(self):
         # a table of 4**d for d <= k would hold ~50 MB at this depth
